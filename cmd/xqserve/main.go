@@ -435,13 +435,18 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		root.End()
-		s.observeSlow(reqID, req, sw.status, 0, exec, root)
+		s.observeSlow(reqID, req, sw.status, 0, exec, root, "")
 		fmt.Fprintln(sw, res.Output)
 		return
 	}
 
 	resp, err := ex.Execute(ctx, req)
 	if s.writeQueryError(sw, r, ctx, err, start) {
+		var pe *service.PanicError
+		if errors.As(err, &pe) {
+			root.End()
+			s.observeSlow(reqID, req, sw.status, 0, time.Since(start), root, pe.Stack)
+		}
 		return
 	}
 	wait, exec = resp.Wait, resp.Exec
@@ -452,12 +457,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sw.Header().Set("X-Query-Warnings", strings.Join(resp.Warnings, "; "))
 	}
 	root.End()
-	s.observeSlow(reqID, req, sw.status, wait, exec, root)
+	s.observeSlow(reqID, req, sw.status, wait, exec, root, "")
 	fmt.Fprintln(sw, resp.Output)
 }
 
-// observeSlow offers a completed request to the slow-query log.
-func (s *server) observeSlow(reqID string, req service.Request, status int, wait, exec time.Duration, root *obs.Span) {
+// observeSlow offers a completed request to the slow-query log; stack is
+// the goroutine trace of a request whose execution panicked.
+func (s *server) observeSlow(reqID string, req service.Request, status int, wait, exec time.Duration, root *obs.Span, stack string) {
 	s.slow.Observe(obs.SlowLogEntry{
 		RequestID: reqID,
 		System:    string(req.System),
@@ -467,6 +473,7 @@ func (s *server) observeSlow(reqID string, req service.Request, status int, wait
 		WaitMs:    float64(wait) / float64(time.Millisecond),
 		ExecMs:    float64(exec) / float64(time.Millisecond),
 		Trace:     root.View(),
+		Stack:     stack,
 	})
 }
 
@@ -478,6 +485,10 @@ func (s *server) writeQueryError(w http.ResponseWriter, r *http.Request, ctx con
 		return false
 	case errors.Is(err, service.ErrQueueFull):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.As(err, new(*service.PanicError)):
+		// An engine bug, not a bad query: the stack goes to the slow-query
+		// log, not to the client.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil && r.Context().Err() == nil:
 		// The server deadline fired while the client was still there:
 		// report the timeout with the elapsed time instead of hanging

@@ -185,3 +185,36 @@ func TestMetricsAndSlowlog(t *testing.T) {
 		}
 	}
 }
+
+// TestPanicAnswers500 pins the HTTP side of panic containment: the
+// executor's *PanicError maps to 500 without leaking the stack to the
+// client, and the stack rides the request's slow-query log entry.
+func TestPanicAnswers500(t *testing.T) {
+	s := newTestServer(t)
+	pe := &service.PanicError{Value: "boom", Stack: "goroutine 7 [running]:\nengine.bug()"}
+	req := httptest.NewRequest("GET", "/query?system=D&q=1", nil)
+	rec := httptest.NewRecorder()
+	if !s.writeQueryError(rec, req, req.Context(), pe, time.Now()) {
+		t.Fatal("a PanicError did not finish the request")
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if strings.Contains(rec.Body.String(), "goroutine") {
+		t.Fatalf("stack leaked to the client: %q", rec.Body.String())
+	}
+
+	root := obs.StartSpan("request")
+	root.End()
+	s.observeSlow("panicky", service.Request{System: "D", QueryID: 1}, rec.Code, 0, time.Millisecond, root, pe.Stack)
+	rec = get(t, s.routes(false), "/debug/slowlog", nil)
+	var slow struct {
+		Slowest []obs.SlowLogEntry `json:"slowest"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &slow); err != nil {
+		t.Fatalf("bad slowlog JSON: %v", err)
+	}
+	if len(slow.Slowest) != 1 || slow.Slowest[0].Stack != pe.Stack || slow.Slowest[0].Status != 500 {
+		t.Fatalf("slowlog = %+v, want the 500 entry with its stack", slow.Slowest)
+	}
+}

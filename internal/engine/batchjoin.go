@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/nodestore"
@@ -16,7 +17,7 @@ import (
 // order are identical by construction — so execution at any batch size
 // stays byte-identical to tuple-at-a-time execution.
 //
-// Three operators live here:
+// Four operators live here:
 //
 //   - batchForTupleIter: for-clause binding straight off NodeID vectors.
 //     The tuple operator routes every vectorized sequence through the
@@ -31,7 +32,16 @@ import (
 //     for an inequality, but the clause sequence is variable-independent,
 //     so its items and their atomized key values memoize per session
 //     (Session.thetaCache) and each outer tuple evaluates its own side of
-//     the comparison exactly once instead of once per inner item.
+//     the comparison exactly once instead of once per inner item. When
+//     every inner key is numeric the index is typed: one float64 per item,
+//     reduced existentially (the min or max of its keys, by operator), plus
+//     the keys sorted. The outer side casts to one number per tuple, so a
+//     pair costs one float comparison instead of a string parse.
+//   - the count-pushdown Count (plan.CountThetaJoin): count($l) over a
+//     let-bound theta join whose binding nothing else reads. It answers
+//     from the sorted keys with one binary search per tuple, and the
+//     deferred let never materializes the matches. At batch width 1 the
+//     join runs as for+where, the let binds, and the count drains it.
 
 // ---- vectorized for-clause binding ----
 
@@ -339,65 +349,175 @@ func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
 // non-equality join: the materialized items and, per item, the atomized
 // values of the conjunct's inner-side expression. Keyed by plan-node
 // identity in Session.thetaCache, exactly like the hash-join cache.
+//
+// When the operator is an inequality and every inner key is a NumItem,
+// every pair compares numerically (compareAtomics casts the outer value),
+// so the index is also typed: general comparison is existential, and
+// "some outer value > some inner key" holds iff the largest outer value
+// exceeds the smallest inner key (dually for < and <=). num holds each
+// item's reduced key and sorted the non-NaN ones ascending; a tuple's
+// matches are then one prefix or suffix of sorted, found by binary search.
 type thetaIndex struct {
 	items Seq
 	keys  []Seq
 	probe *plan.Node
+	// op is the conjunct's comparison normalized to "outer op inner".
+	op compareOp
+	// num is nil when the index is untyped. Otherwise num[i] is the
+	// minimum of item i's keys for > and >=, the maximum for < and <=,
+	// ignoring NaN, and NaN when no key remains — NaN satisfies no
+	// inequality, so such an item never matches.
+	num    []float64
+	sorted []float64
+}
+
+// thetaOp returns the join's comparison normalized to "outer op inner",
+// or ok=false when the conjunct is not a value comparison between the
+// join's two sides. Swapping operands and mirroring the operator is exact
+// for numbers, strings and booleans alike.
+func thetaOp(n *plan.Node) (compareOp, bool) {
+	if n.Cond == nil || n.Probe == nil || n.Build == nil {
+		return 0, false
+	}
+	b, ok := n.Cond.Expr.(*xquery.Binary)
+	if !ok {
+		return 0, false
+	}
+	op, ok := cmpOpOf[b.Op]
+	if !ok {
+		return 0, false
+	}
+	switch n.Probe {
+	case n.Cond.Kids[1]:
+		return op, true
+	case n.Cond.Kids[0]:
+		switch op {
+		case cmpLt:
+			return cmpGt, true
+		case cmpLe:
+			return cmpGe, true
+		case cmpGt:
+			return cmpLt, true
+		case cmpGe:
+			return cmpLe, true
+		}
+		return op, true
+	}
+	return 0, false
+}
+
+// outerMax reports whether the op's existential test reduces the outer
+// values to their maximum (and the inner keys to their minimum).
+func outerMax(op compareOp) bool { return op == cmpGt || op == cmpGe }
+
+// extremeOf casts vals to numbers and returns the largest (max) or the
+// smallest, ignoring NaN — it never wins a comparison, and a NaN result
+// so far is always replaced; NaN when no other value exists.
+func extremeOf(vals Seq, max bool) float64 {
+	r := math.NaN()
+	for _, v := range vals {
+		if f := toNumber(v); math.IsNaN(r) || (max && f > r) || (!max && f < r) {
+			r = f
+		}
+	}
+	return r
+}
+
+// compareNums is compareAtomics' numeric branch for the inequalities.
+func compareNums(op compareOp, x, y float64) bool {
+	switch op {
+	case cmpLt:
+		return x < y
+	case cmpLe:
+		return x <= y
+	case cmpGt:
+		return x > y
+	case cmpGe:
+		return x >= y
+	}
+	return false
+}
+
+// matchValues applies the existential general comparison between a
+// tuple's outer values and one item's inner keys.
+func (idx *thetaIndex) matchValues(bvals, keys Seq) bool {
+	for _, b := range bvals {
+		for _, p := range keys {
+			if compareAtomics(idx.op, b, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// count returns how many items match a tuple whose atomized outer-side
+// values are bvals, without binding any of them: a binary search over
+// the sorted keys when the index is typed, a scan of the per-item keys
+// otherwise.
+func (idx *thetaIndex) count(bvals Seq) int {
+	if idx.num == nil {
+		n := 0
+		for _, keys := range idx.keys {
+			if idx.matchValues(bvals, keys) {
+				n++
+			}
+		}
+		return n
+	}
+	b := extremeOf(bvals, outerMax(idx.op))
+	if math.IsNaN(b) {
+		return 0
+	}
+	s := idx.sorted
+	above := func(i int) bool { return s[i] > b }
+	switch idx.op {
+	case cmpGt: // keys < b
+		return sort.SearchFloat64s(s, b)
+	case cmpGe: // keys <= b
+		return sort.Search(len(s), above)
+	case cmpLt: // keys > b
+		return len(s) - sort.Search(len(s), above)
+	default: // cmpLe: keys >= b
+		return len(s) - sort.SearchFloat64s(s, b)
+	}
 }
 
 // thetaJoinTupleIter executes a planned OpNLJoin whose conjunct is a value
 // comparison: for each outer tuple it evaluates the outer side of the
-// comparison once, then tests the memoized inner key values item by item.
-// Output-equivalent to the for+where pair it replaces — items emit in
-// sequence order, a tuple×item pair emits iff the general comparison holds
-// — but the inner sequence evaluates once per session instead of once per
-// outer tuple, and the outer key once per tuple instead of once per pair.
+// comparison once (and, over a typed index, casts it to one number once),
+// then tests the memoized inner keys item by item. Output-equivalent to
+// the for+where pair it replaces — items emit in sequence order, a
+// tuple×item pair emits iff the general comparison holds — but the inner
+// sequence evaluates once per session instead of once per outer tuple,
+// and the outer key once per tuple instead of once per pair.
 type thetaJoinTupleIter struct {
-	ev        *evaluator
-	in        tupleIter
-	node      *plan.Node
-	op        compareOp
-	probeLeft bool // conjunct is probe-side OP build-side
+	ev   *evaluator
+	in   tupleIter
+	node *plan.Node
 
 	idx   *thetaIndex
 	tp    *bindings
 	bvals Seq
+	b     float64 // reduced outer key over a typed index
 	i     int
-}
-
-// newThetaJoinIter returns the vectorized nested-loop join for n, or nil
-// when the conjunct is not a value comparison the operator handles (the
-// caller then falls back to the for+where pair).
-func (ev *evaluator) newThetaJoinIter(in tupleIter, n *plan.Node) tupleIter {
-	if n.Cond == nil || n.Probe == nil || n.Build == nil {
-		return nil
-	}
-	b, ok := n.Cond.Expr.(*xquery.Binary)
-	if !ok {
-		return nil
-	}
-	op, ok := cmpOpOf[b.Op]
-	if !ok {
-		return nil
-	}
-	if n.Probe != n.Cond.Kids[0] && n.Probe != n.Cond.Kids[1] {
-		return nil
-	}
-	return &thetaJoinTupleIter{
-		ev: ev, in: in, node: n, op: op,
-		probeLeft: n.Probe == n.Cond.Kids[0],
-	}
 }
 
 func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
 	for {
 		if t.tp != nil {
-			for t.i < len(t.idx.items) {
+			idx := t.idx
+			for t.i < len(idx.items) {
 				k := t.i
 				t.i++
-				if t.match(t.idx.keys[k]) {
-					return t.tp.bind(t.node.Var, Seq{t.idx.items[k]}), true
+				if idx.num != nil {
+					if !compareNums(idx.op, t.b, idx.num[k]) {
+						continue
+					}
+				} else if !idx.matchValues(t.bvals, idx.keys[k]) {
+					continue
 				}
+				return t.tp.bind(t.node.Var, Seq{idx.items[k]}), true
 			}
 			t.tp = nil
 		}
@@ -407,32 +527,47 @@ func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
 		}
 		// The index builds on the first tuple, not in the constructor: a
 		// join whose outer side is empty never touches the inner sequence,
-		// exactly like the for+where pair.
+		// exactly like the for+where pair — which, over an empty inner
+		// sequence, never evaluates the outer key either.
 		if t.idx == nil {
 			t.idx = t.ev.thetaIndexFor(t.node)
 		}
+		if len(t.idx.items) == 0 {
+			continue
+		}
 		t.tp = tp
-		t.bvals = t.ev.atomizeSeq(t.ev.eval(t.node.Build, tp))
 		t.i = 0
-	}
-}
-
-// match applies the existential general comparison between the tuple's
-// outer values and one item's memoized inner values, honoring the
-// conjunct's operand order.
-func (t *thetaJoinTupleIter) match(keys Seq) bool {
-	for _, b := range t.bvals {
-		for _, p := range keys {
-			if t.probeLeft {
-				if compareAtomics(t.op, p, b) {
-					return true
-				}
-			} else if compareAtomics(t.op, b, p) {
-				return true
+		t.bvals = t.ev.atomizeSeq(t.ev.eval(t.node.Build, tp))
+		if t.idx.num != nil {
+			if t.b = extremeOf(t.bvals, outerMax(t.idx.op)); math.IsNaN(t.b) {
+				t.tp = nil
 			}
 		}
 	}
-	return false
+}
+
+// runsTheta reports whether this execution runs join through the theta
+// operator: the plan marked it vectorized, the batch width is above 1 and
+// the conjunct is a value comparison between the join's sides. Otherwise
+// the join runs as the for+where pair — and a deferred let over it binds
+// as usual, for its count-pushdown Count to drain.
+func (ev *evaluator) runsTheta(join *plan.Node) bool {
+	if !join.Vectorized || ev.batchSize <= 1 {
+		return false
+	}
+	_, ok := thetaOp(join)
+	return ok
+}
+
+// thetaCount answers a CountThetaJoin Count: the number of inner items
+// the join would emit for the tuple env, which is the length of the let
+// binding the planner deferred.
+func (ev *evaluator) thetaCount(join *plan.Node, env *bindings) int {
+	idx := ev.thetaIndexFor(join)
+	if len(idx.items) == 0 {
+		return 0
+	}
+	return idx.count(ev.atomizeSeq(ev.eval(join.Build, env)))
 }
 
 // thetaIndexFor returns the session's memoized theta index for the join,
@@ -458,10 +593,27 @@ func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
 	} else {
 		items = ev.eval(n.Seq, env)
 	}
-	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), probe: n.Probe}
+	op, _ := thetaOp(n)
+	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), probe: n.Probe, op: op}
+	numeric := op != cmpEq && op != cmpNeq
 	for i, it := range items {
 		envI := (&bindings{}).bind(n.Var, Seq{it})
 		idx.keys[i] = ev.atomizeSeq(ev.eval(n.Probe, envI))
+		for _, k := range idx.keys[i] {
+			if _, ok := k.(NumItem); !ok {
+				numeric = false
+			}
+		}
+	}
+	if numeric {
+		idx.num = make([]float64, len(items))
+		for i, keys := range idx.keys {
+			idx.num[i] = extremeOf(keys, !outerMax(op))
+			if !math.IsNaN(idx.num[i]) {
+				idx.sorted = append(idx.sorted, idx.num[i])
+			}
+		}
+		sort.Float64s(idx.sorted)
 	}
 	ev.sess.thetaCache[n] = idx
 	return idx

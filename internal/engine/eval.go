@@ -936,6 +936,12 @@ func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings) tupleIter {
 	case plan.OpTupleSrc:
 		return &singleTupleIter{tp: env}
 	case plan.OpLet:
+		// A deferred let's only reader is a count-pushdown Count; when this
+		// execution runs the join through the theta index, the Count
+		// answers from it and the binding is never materialized.
+		if n.Deferred && ev.runsTheta(n.Seq.Input) {
+			return ev.buildTuples(n.Input, env)
+		}
 		return &letTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
 	case plan.OpFor:
 		// Vectorized bindings come straight off the sequence's NodeID
@@ -948,10 +954,8 @@ func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings) tupleIter {
 		// The vectorized theta join memoizes the inner side per session
 		// and hoists the outer comparison operand per tuple; conjuncts it
 		// cannot prove (and batch size 1) keep the for+where expansion.
-		if n.Vectorized && ev.batchSize > 1 {
-			if t := ev.newThetaJoinIter(ev.buildTuples(n.Input, env), n); t != nil {
-				return t
-			}
+		if ev.runsTheta(n) {
+			return &thetaJoinTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), node: n}
 		}
 		// The nested-loop join expands the clause and filters on the
 		// consumed conjunct right after the binding.

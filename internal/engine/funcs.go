@@ -196,7 +196,8 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 // iterCount executes a Count operator with the planner's chosen strategy,
 // falling back to draining the full argument plan when the catalog answer
 // is unavailable for the concrete context (a non-node item in the
-// truncated path, or a store capability that disappeared).
+// truncated path, or a store capability that disappeared) or, for a
+// count-pushdown Count, when this execution runs the join as for+where.
 func (ev *evaluator) iterCount(n *plan.Node, env *bindings) Iterator {
 	switch n.CountMode {
 	case plan.CountCatalogPath:
@@ -206,6 +207,10 @@ func (ev *evaluator) iterCount(n *plan.Node, env *bindings) Iterator {
 	case plan.CountCatalogDesc:
 		if total, ok := ev.countDescendants(n, env); ok {
 			return one(NumItem(float64(total)))
+		}
+	case plan.CountThetaJoin:
+		if ev.runsTheta(n.CountCtx) {
+			return one(NumItem(float64(ev.thetaCount(n.CountCtx, env))))
 		}
 	}
 	if arg := n.Kids[0]; arg.Op == plan.OpGather {

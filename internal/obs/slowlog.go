@@ -16,6 +16,9 @@ type SlowLogEntry struct {
 	WaitMs    float64   `json:"wait_ms"`
 	ExecMs    float64   `json:"exec_ms"`
 	Trace     SpanView  `json:"trace"`
+	// Stack is the goroutine trace of a request whose execution
+	// panicked; empty otherwise.
+	Stack string `json:"stack,omitempty"`
 }
 
 // SlowLog is a bounded in-memory top-K log of the slowest requests by

@@ -83,6 +83,8 @@ func NodeLabel(n *Node) string {
 			return "Count [catalog /" + strings.Join(n.Path, "/") + "]"
 		case CountCatalogDesc:
 			return "Count [catalog //" + n.CountTag + "]"
+		case CountThetaJoin:
+			return thetaCountLabel(n)
 		}
 		return "Count"
 	case OpCall:
@@ -184,7 +186,11 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 		kid(n.Input, "")
 		kid(n.Ret, "return: ")
 	case OpFor, OpLet:
-		self(fmt.Sprintf("%s $%s", n.Op, n.Var))
+		if n.Deferred {
+			self(fmt.Sprintf("%s $%s [deferred to count]", n.Op, n.Var))
+		} else {
+			self(fmt.Sprintf("%s $%s", n.Op, n.Var))
+		}
 		kid(n.Input, "")
 		kid(n.Seq, "seq: ")
 	case OpNLJoin, OpHashJoin:
@@ -301,6 +307,8 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 		case CountCatalogDesc:
 			self("Count [catalog //" + n.CountTag + "]")
 			kid(n.CountCtx, "ctx: ")
+		case CountThetaJoin:
+			self(thetaCountLabel(n))
 		default:
 			self("Count")
 			kid(n.Kids[0], "")
@@ -379,6 +387,13 @@ func joinLabel(n *Node) string {
 		s += fmt.Sprintf(" [build=%d]", n.BuildCard)
 	}
 	return s
+}
+
+// thetaCountLabel renders a count-pushdown Count: the deferred variable
+// it counts and the join whose sorted index answers it.
+func thetaCountLabel(n *Node) string {
+	return fmt.Sprintf("Count %s [sorted theta index of $%s]",
+		xquery.UnparseExpr(n.Kids[0].Expr), n.CountCtx.Var)
 }
 
 // pathScanLabel renders a PathScan with its pushed-down filters; scans the

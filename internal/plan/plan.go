@@ -185,6 +185,10 @@ const (
 	// CountCatalogDesc iterates the truncated context path CountCtx and
 	// sums CountDescendants(ctx, CountTag) from the catalog.
 	CountCatalogDesc
+	// CountThetaJoin counts the matches of the theta NestedLoopJoin
+	// CountCtx for the current tuple from the join's sorted key index,
+	// without materializing the deferred let binding the argument names.
+	CountThetaJoin
 )
 
 // StepStrategy is the chosen physical strategy of one path step.
@@ -306,6 +310,10 @@ type Node struct {
 	CountMode CountMode
 	CountTag  string
 	CountCtx  *Node
+	// Deferred marks an OpLet whose only reference is a CountThetaJoin
+	// Count: an execution that answers that count from the join's index
+	// skips materializing the binding.
+	Deferred bool
 
 	// CtorAttrs and Content are the attribute value parts and content
 	// parts of OpCtor, parallel to the AST constructor.

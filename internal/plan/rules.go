@@ -16,7 +16,9 @@ import (
 // runs over the final physical scan shapes (filtered path extents,
 // post-join chains) rather than intermediate ones, and vectorize runs dead
 // last so its batch marks land on the scans parallelize just partitioned —
-// each morsel then runs vector-at-a-time inside its Gather.
+// each morsel then runs vector-at-a-time inside its Gather. Count pushdown
+// follows vectorize because only a vectorized theta join carries the
+// sorted index it counts from.
 func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleCountShortcut(p, opts, store)
 	rulePathExtent(p, opts, store)
@@ -28,6 +30,7 @@ func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleOrderByElim(p)
 	ruleParallelize(p, opts, store)
 	ruleVectorize(p, opts, store)
+	ruleCountPushdown(p)
 	ruleFulltext(p, opts, store)
 }
 
@@ -481,4 +484,141 @@ func ruleOrderByElim(p *Plan) {
 			}
 		}
 	})
+}
+
+// ruleCountPushdown answers count($l) over a let-bound theta join without
+// materializing $l — Q11/Q12's per-person count of open auctions whose
+// initial price is below a multiple of the person's income. It fires when
+//
+//   - the let sequence is a FLWOR whose only clause is a vectorized
+//     NestedLoopJoin on an inequality (<, <=, >, >=) and whose return is
+//     the join variable, so $l holds exactly the join's matches;
+//   - $l has exactly one reference in the enclosing FLWOR, the argument
+//     of a draining count();
+//   - that count is reached from the return clause or a later clause
+//     through no nested FLWOR, predicate or quantifier, so it runs once
+//     per tuple;
+//   - no later clause rebinds $l or a free variable of the let sequence,
+//     so the count's environment sees the values the let would have.
+//
+// The Count switches to CountThetaJoin over the join and the Let is
+// marked Deferred. The Count's argument stays the drain fallback, as for
+// count-shortcut: an execution that runs the join as for+where (batch
+// width 1) binds the let and drains it.
+func ruleCountPushdown(p *Plan) {
+	p.walk(func(n *Node) {
+		if n.Op != OpProject {
+			return
+		}
+		var later []*Node
+		for c := n.Input; c != nil && c.Op != OpTupleSrc; c = c.Input {
+			if c.Op == OpLet {
+				if join := soleThetaJoin(c.Seq); join != nil {
+					if cnt := pushableCount(n, c, later); cnt != nil {
+						cnt.CountMode = CountThetaJoin
+						cnt.CountCtx = join
+						c.Deferred = true
+						p.fire("count-pushdown", cnt)
+					}
+				}
+			}
+			later = append(later, c)
+		}
+	})
+}
+
+// soleThetaJoin returns the join of a FLWOR that is exactly one
+// vectorized inequality NestedLoopJoin returning its own variable, or nil.
+func soleThetaJoin(seq *Node) *Node {
+	if seq.Op != OpProject || seq.Input.Op != OpNLJoin {
+		return nil
+	}
+	join := seq.Input
+	if !join.Vectorized || join.Input.Op != OpTupleSrc ||
+		seq.Ret.Op != OpVar || seq.Ret.Var != join.Var {
+		return nil
+	}
+	switch join.Expr.(*xquery.Binary).Op {
+	case xquery.OpLt, xquery.OpLe, xquery.OpGt, xquery.OpGe:
+		return join
+	}
+	return nil
+}
+
+// pushableCount returns the count($l) node a deferred let may serve — the
+// sole reference to let's variable in project, evaluated once per tuple —
+// or nil. later are the clauses above the let, outermost first.
+func pushableCount(project, let *Node, later []*Node) *Node {
+	free := freeVars(let.Seq.Expr)
+	for _, c := range later {
+		switch c.Op {
+		case OpFor, OpLet, OpNLJoin, OpHashJoin:
+			if c.Var == let.Var || free[c.Var] {
+				return nil
+			}
+		}
+	}
+	refs := 0
+	walkNode(project, map[*Node]bool{}, func(v *Node) {
+		if v.Op == OpVar && v.Var == let.Var {
+			refs++
+		}
+	})
+	if refs != 1 {
+		return nil
+	}
+	if cnt := findOncePerTupleCount(project.Ret, let.Var); cnt != nil {
+		return cnt
+	}
+	for _, c := range later {
+		var cnt *Node
+		switch c.Op {
+		case OpFor, OpLet:
+			cnt = findOncePerTupleCount(c.Seq, let.Var)
+		case OpWhere:
+			cnt = findOncePerTupleCount(c.Cond, let.Var)
+		case OpOrderBy:
+			for _, k := range c.Keys {
+				if cnt == nil {
+					cnt = findOncePerTupleCount(k.Key, let.Var)
+				}
+			}
+		}
+		if cnt != nil {
+			return cnt
+		}
+	}
+	return nil
+}
+
+// findOncePerTupleCount finds a draining count($v) in e through operators
+// that evaluate each operand at most once per evaluation of e:
+// constructors, arithmetic and comparisons, function calls, sequences and
+// conditionals. It does not descend into nested FLWORs, paths, filters or
+// quantifiers, whose operands run once per item.
+func findOncePerTupleCount(e *Node, v string) *Node {
+	if e == nil {
+		return nil
+	}
+	var kids []*Node
+	switch e.Op {
+	case OpCount:
+		if k := e.Kids[0]; e.CountMode == CountDrain && k.Op == OpVar && k.Var == v {
+			return e
+		}
+		kids = e.Kids
+	case OpBinary, OpUnary, OpCall, OpSequence, OpIf:
+		kids = e.Kids
+	case OpCtor:
+		for _, parts := range e.CtorAttrs {
+			kids = append(kids, parts...)
+		}
+		kids = append(kids, e.Content...)
+	}
+	for _, k := range kids {
+		if cnt := findOncePerTupleCount(k, v); cnt != nil {
+			return cnt
+		}
+	}
+	return nil
 }

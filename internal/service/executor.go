@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -19,6 +20,24 @@ var ErrQueueFull = errors.New("service: admission queue full")
 
 // ErrClosed is returned by Execute after Close.
 var ErrClosed = errors.New("service: executor closed")
+
+// PanicError is returned by Execute when the request's execution
+// panicked: an engine bug, not a query error. The worker recovers it,
+// answers the request with it and goes on serving.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value interface{}
+	// Stack is the panicking goroutine's stack trace.
+	Stack string
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("service: internal error: %v", e.Value)
+}
+
+// testHookStream, when set, runs at every cancellation check of the
+// result stream: tests use it to inject a panic mid-execution.
+var testHookStream func(Request)
 
 // Config sizes an Executor.
 type Config struct {
@@ -280,6 +299,12 @@ func (e *Executor) worker() {
 			e.metrics.canceled.Add(1)
 		default:
 			e.metrics.failed.Add(1)
+			if errors.As(err, new(*PanicError)) {
+				// A panic may have left the session's recycled scratch
+				// half updated; start the next request on a fresh one.
+				sess = engine.NewSession()
+				sess.BatchSize = e.batchSize
+			}
 		}
 		t.done <- taskResult{resp: resp, err: err}
 	}
@@ -292,11 +317,16 @@ const cancelCheckInterval = 64
 
 // run executes one request on this worker's Session, streaming the
 // result through an ItemWriter so cancellation is observed mid-stream
-// and the rest of the result is never computed.
-func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (Response, error) {
-	resp := Response{System: req.System, QueryID: req.QueryID}
+// and the rest of the result is never computed. A panic anywhere in the
+// execution, partition workers included, comes back as a *PanicError.
+func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (resp Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: string(debug.Stack())}
+		}
+	}()
+	resp = Response{System: req.System, QueryID: req.QueryID}
 	var prep *engine.Prepared
-	var err error
 	switch {
 	case req.QueryID != 0:
 		prep, err = e.cat.Prepared(req.System, req.QueryID)
@@ -344,6 +374,9 @@ func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (
 	canceled := false
 	err = prep.StreamSession(sess, func(it engine.Item) bool {
 		if n%cancelCheckInterval == 0 {
+			if testHookStream != nil {
+				testHookStream(req)
+			}
 			select {
 			case <-ctx.Done():
 				canceled = true

@@ -400,3 +400,44 @@ func TestConcurrentParallelDegreePool(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecutorContainsPanics pins per-request panic containment: a panic
+// raised mid-stream (through the engine's execute, which re-raises
+// anything that is not an evaluation error) comes back as a *PanicError
+// carrying the stack, counts as failed, and the single worker goes on to
+// serve the next request byte-identically on a fresh session.
+func TestExecutorContainsPanics(t *testing.T) {
+	c := testCat(t)
+	want := sequentialReference(t, c)
+	testHookStream = func(req Request) {
+		if req.QueryID == 1 {
+			panic("injected engine bug")
+		}
+	}
+	ex := NewExecutor(c, Config{Workers: 1, QueueDepth: 4, Parallel: 2})
+	defer func() {
+		ex.Close()
+		testHookStream = nil
+	}()
+
+	_, err := ex.Execute(context.Background(), Request{System: xmark.SystemD, QueryID: 1})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panicking request returned %v, want a *PanicError", err)
+	}
+	if pe.Value != "injected engine bug" || !strings.Contains(pe.Stack, "goroutine") {
+		t.Fatalf("PanicError = %v with stack %q", pe.Value, pe.Stack)
+	}
+	if got := ex.Metrics().Snapshot().Failed; got != 1 {
+		t.Fatalf("failed counter = %d, want 1", got)
+	}
+	for _, q := range []int{11, 12, 2} {
+		resp, err := ex.Execute(context.Background(), Request{System: xmark.SystemD, QueryID: q})
+		if err != nil {
+			t.Fatalf("Q%d after the panic: %v", q, err)
+		}
+		if resp.Output != want[prepKey{xmark.SystemD, q}] {
+			t.Fatalf("Q%d after the panic differs from the sequential reference", q)
+		}
+	}
+}
