@@ -218,3 +218,22 @@ func TestPanicAnswers500(t *testing.T) {
 		t.Fatalf("slowlog = %+v, want the 500 entry with its stack", slow.Slowest)
 	}
 }
+
+// TestMalformedQueryAnswers400 pins the parser's stop-at-first-error
+// contract at the HTTP surface: short malformed texts that once recursed
+// the parser into a fatal stack overflow answer 400, and the server keeps
+// serving.
+func TestMalformedQueryAnswers400(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	for _, q := range []string{"for $", "let $", "some$", "<a>{for$}</a>"} {
+		rec := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q}}.Encode(), nil)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("q=%q: status %d, want 400: %s", q, rec.Code, rec.Body.String())
+		}
+		rec = get(t, mux, "/query?system=D&q=1", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("after q=%q: Q1 status %d: %s", q, rec.Code, rec.Body.String())
+		}
+	}
+}

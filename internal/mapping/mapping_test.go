@@ -53,6 +53,35 @@ func TestAttrLookupAgreement(t *testing.T) {
 // backends: same answers, different access paths.
 func TestStoresAgreeWithDOM(t *testing.T) {
 	ref, stores := buildAll(t, 0.002)
+	checkStoresAgree(t, ref, stores)
+}
+
+// handBuiltDoc packs the shapes the generated document rarely isolates:
+// an attribute on the root, an empty element, mixed content, the same tag
+// at two depths (parlist/listitem nests), and an attribute present on only
+// some owners of one fragment.
+const handBuiltDoc = `<site region="eu"><empty/>` +
+	`<parlist><listitem id="a">one<bold>b</bold>two<parlist>` +
+	`<listitem>deep</listitem><listitem id="b"/><listitem><text/></listitem>` +
+	`</parlist>three</listitem><listitem/><listitem id="c"><empty/></listitem></parlist>` +
+	`<mixed>x<bold/>y<bold>z</bold><bold kind="k"/>w</mixed><empty/></site>`
+
+func TestStoresAgreeWithDOMHandBuilt(t *testing.T) {
+	doc, err := tree.Parse([]byte(handBuiltDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := nodestore.NewDOM("ref", doc, nodestore.DOMOptions{Summary: true, TagExtents: true, AttrIndexes: true})
+	checkStoresAgree(t, ref, []nodestore.Store{NewEdge(doc), NewPath(doc), NewInline(doc)})
+}
+
+// checkStoresAgree compares every store with the reference on every node:
+// kind, tag, text, parent, subtree end, children, text children, a child
+// step by every child tag present (plus one absent tag) through the slice
+// method and the cursor drained by Next and by batches of 1 and 3, and
+// attributes by value and by dictionary code.
+func checkStoresAgree(t *testing.T, ref *nodestore.DOM, stores []nodestore.Store) {
+	t.Helper()
 	doc := ref.Doc()
 	for _, s := range stores {
 		s := s
@@ -76,29 +105,111 @@ func TestStoresAgreeWithDOM(t *testing.T) {
 				if s.SubtreeEnd(n) != ref.SubtreeEnd(n) {
 					t.Fatalf("node %d: end %d != %d", n, s.SubtreeEnd(n), ref.SubtreeEnd(n))
 				}
-				if got, want := s.Children(n, nil), ref.Children(n, nil); !equalIDs(got, want) {
-					t.Fatalf("node %d: children %v != %v", n, got, want)
+				kids := ref.Children(n, nil)
+				if got := s.Children(n, nil); !equalIDs(got, kids) {
+					t.Fatalf("node %d: children %v != %v", n, got, kids)
 				}
-				if ref.Kind(n) == tree.Element {
-					tag := ref.Tag(n)
-					if got, want := s.ChildrenByTag(n, tag, nil), ref.ChildrenByTag(n, tag, nil); !equalIDs(got, want) {
-						t.Fatalf("node %d: childrenByTag differ", n)
+				if ref.Kind(n) != tree.Element {
+					continue
+				}
+				var texts []tree.NodeID
+				tags := []string{"no_such_tag"}
+				for _, c := range kids {
+					if ref.Kind(c) == tree.Text {
+						texts = append(texts, c)
+					} else if !containsTag(tags, ref.Tag(c)) {
+						tags = append(tags, ref.Tag(c))
 					}
-					for _, a := range ref.Attrs(n) {
-						v, ok := s.Attr(n, a.Name)
-						if !ok || v != a.Value {
-							t.Fatalf("node %d: attr %s = %q,%v want %q", n, a.Name, v, ok, a.Value)
+				}
+				if got := s.(nodestore.TextChildLister).TextChildren(n, nil); !equalIDs(got, texts) {
+					t.Fatalf("node %d: text children %v != %v", n, got, texts)
+				}
+				for _, tag := range tags {
+					want := ref.ChildrenByTag(n, tag, nil)
+					if got := s.ChildrenByTag(n, tag, nil); !equalIDs(got, want) {
+						t.Fatalf("node %d: childrenByTag(%s) %v != %v", n, tag, got, want)
+					}
+					cs := s.(nodestore.CursorStore)
+					if got := drainNext(cs.ChildrenByTagCursor(n, tag)); !equalIDs(got, want) {
+						t.Fatalf("node %d: childrenByTag cursor(%s) by Next %v != %v", n, tag, got, want)
+					}
+					for _, size := range []int{1, 3} {
+						if got := drainWidth(t, cs.ChildrenByTagCursor(n, tag), size); !equalIDs(got, want) {
+							t.Fatalf("node %d: childrenByTag cursor(%s) by batches of %d %v != %v", n, tag, size, got, want)
 						}
 					}
-					if _, ok := s.Attr(n, "no_such_attr"); ok {
-						t.Fatalf("node %d: phantom attribute", n)
+				}
+				coder := s.(nodestore.AttrCoder)
+				for _, a := range ref.Attrs(n) {
+					v, ok := s.Attr(n, a.Name)
+					if !ok || v != a.Value {
+						t.Fatalf("node %d: attr %s = %q,%v want %q", n, a.Name, v, ok, a.Value)
 					}
-					if !equalAttrs(s.Attrs(n), ref.Attrs(n)) {
-						t.Fatalf("node %d: Attrs differ: %v vs %v", n, s.Attrs(n), ref.Attrs(n))
+					want, _ := coder.CodeOf(a.Value)
+					if got, ok := coder.AttrCode(n, a.Name); !ok || got != want {
+						t.Fatalf("node %d: attr code %s = %d,%v want %d", n, a.Name, got, ok, want)
 					}
+				}
+				for _, name := range []string{"no_such_attr", "id"} {
+					if _, want := ref.Attr(n, name); !want {
+						if _, ok := s.Attr(n, name); ok {
+							t.Fatalf("node %d: phantom attribute %s", n, name)
+						}
+						if _, ok := coder.AttrCode(n, name); ok {
+							t.Fatalf("node %d: phantom attribute code %s", n, name)
+						}
+					}
+				}
+				if !equalAttrs(s.Attrs(n), ref.Attrs(n)) {
+					t.Fatalf("node %d: Attrs differ: %v vs %v", n, s.Attrs(n), ref.Attrs(n))
 				}
 			}
 		})
+	}
+}
+
+func containsTag(tags []string, tag string) bool {
+	for _, t := range tags {
+		if t == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPathChildRunsContiguous checks the argument behind the path
+// mapping's offset arrays (see pathTable): in every child fragment the
+// parent's row never decreases, so one offset per parent row delimits each
+// parent's run of children.
+func TestPathChildRunsContiguous(t *testing.T) {
+	ref, _ := buildAll(t, 0.002)
+	hand, err := tree.Parse([]byte(handBuiltDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []*tree.Doc{ref.Doc(), hand} {
+		for _, s := range []*Path{NewPath(doc), NewInline(doc)} {
+			for _, p := range s.entries {
+				for _, c := range p.children {
+					if len(c.first) != len(p.ids)+1 || int(c.first[len(p.ids)]) != len(c.ids) {
+						t.Fatalf("%s: %d offsets ending at %d, want %d ending at %d",
+							c.path, len(c.first), c.first[len(c.first)-1], len(p.ids)+1, len(c.ids))
+					}
+					prev := int32(0)
+					for row, parent := range c.table.IntCol(pParent) {
+						r := s.rowIn[parent]
+						if s.pathOf[parent] != int32(p.idx) || r < prev {
+							t.Fatalf("%s row %d: parent %d at row %d of %s after row %d",
+								c.path, row, parent, r, s.entries[s.pathOf[parent]].path, prev)
+						}
+						if int32(row) < c.first[r] || int32(row) >= c.first[r+1] {
+							t.Fatalf("%s row %d: outside its parent's run [%d,%d)", c.path, row, c.first[r], c.first[r+1])
+						}
+						prev = r
+					}
+				}
+			}
+		}
 	}
 }
 

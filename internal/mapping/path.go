@@ -26,17 +26,29 @@ const (
 )
 
 // pathTable is one fragment of the path mapping: all nodes with the same
-// root label path.
+// root label path, one row each, appended in document order.
+//
+// The children of one parent in a child fragment are contiguous rows,
+// which is what lets first delimit them. A fragment holds one label path:
+// its nodes all sit at one depth, so no two of them nest, and their
+// subtrees are disjoint and follow each other in document order. Rows are
+// appended in document order, so every child row of one parent is
+// appended while that parent's subtree is visited, after the children of
+// any earlier parent in the same fragment and before those of any later
+// one. The parent column of a child fragment is therefore non-decreasing
+// in its parent's row.
 type pathTable struct {
 	path  string
 	tag   string
 	depth int
 	idx   int // position in Path.entries
 
-	table     *relational.Table
-	idIdx     *relational.HashIndex
-	parentIdx *relational.HashIndex
-	ids       []tree.NodeID // clustered id column, document order
+	table *relational.Table
+	ids   []tree.NodeID // clustered id column, document order
+	// first holds, per row r of the parent fragment, the first row of this
+	// fragment whose parent is that row; first[r+1] ends the run. Its length
+	// is the parent fragment's row count plus one (nil for the root).
+	first []int32
 
 	children  []*pathTable
 	attrs     map[string]*attrTable
@@ -47,9 +59,14 @@ type pathTable struct {
 	inlined map[string][2]int
 }
 
+// attrTable holds one attribute name of one fragment: an (owner, value)
+// row per owner that carries it. An element has at most one attribute of
+// a name, so byOwner maps each row of the owner fragment straight to its
+// attribute row, or to -1 when that owner lacks the attribute. valueIdx
+// answers the reverse question (value -> rows) for AttrLookup.
 type attrTable struct {
 	table    *relational.Table
-	ownerIdx *relational.HashIndex
+	byOwner  []int32
 	valueIdx *relational.HashIndex
 }
 
@@ -58,6 +75,13 @@ type attrTable struct {
 // one store-wide dictionary, so a string value carries the same code in
 // every table of this store — which is what lets pushed-down equality
 // predicates and batch join keys compare codes across fragments.
+//
+// Navigation is positional, through three kinds of int32 arrays built once
+// at load: pathOf and rowIn locate any node's fragment and row, each
+// child fragment's first array maps a parent row to its child rows, and
+// each attribute table's byOwner array maps an owner row to its attribute
+// row. A child step is two array reads and a subslice of the child
+// fragment's id column: no hashing and no per-key heap objects.
 type Path struct {
 	nodestore.TextIndexHolder
 	name        string
@@ -68,6 +92,7 @@ type Path struct {
 	attrsByName map[string][]*attrTable
 	entries     []*pathTable
 	pathOf      []int32 // node id -> entry index
+	rowIn       []int32 // node id -> row in its fragment
 	root        tree.NodeID
 	nNodes      int
 	// metaOps counts catalog consultations; fragmented mappings pay more
@@ -94,6 +119,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		byTag:       make(map[string][]*pathTable),
 		attrsByName: make(map[string][]*attrTable),
 		pathOf:      make([]int32, doc.Len()),
+		rowIn:       make([]int32, doc.Len()),
 		root:        doc.Root(),
 		nNodes:      doc.Len(),
 	}
@@ -119,6 +145,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 			}
 		}
 		s.pathOf[n] = int32(pt.idx)
+		s.rowIn[n] = int32(len(pt.ids))
 
 		parentID := int64(tree.Nil)
 		if p := doc.Parent(n); p != tree.Nil {
@@ -145,7 +172,6 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 					{Name: "owner", T: relational.Node},
 					{Name: "value", T: relational.String},
 				}, s.dict)}
-				at.ownerIdx = at.table.CreateIndex(0)
 				at.valueIdx = at.table.CreateIndex(1)
 				pt.attrs[a.Name] = at
 				pt.attrNames = append(pt.attrNames, a.Name)
@@ -161,7 +187,36 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		}
 	}
 	insert(doc.Root(), "", nil, 0)
+	s.link()
 	return s
+}
+
+// link builds the offset arrays once every row is in place: a counting
+// pass over each child fragment's parent column, then a prefix sum (the
+// runs are contiguous; see pathTable), and one pass per attribute table
+// over its owner column.
+func (s *Path) link() {
+	for _, p := range s.entries {
+		for _, c := range p.children {
+			first := make([]int32, len(p.ids)+1)
+			for _, parent := range c.table.IntCol(pParent) {
+				first[s.rowIn[parent]+1]++
+			}
+			for r := 1; r < len(first); r++ {
+				first[r] += first[r-1]
+			}
+			c.first = first
+		}
+		for _, at := range p.attrs {
+			at.byOwner = make([]int32, len(p.ids))
+			for r := range at.byOwner {
+				at.byOwner[r] = -1
+			}
+			for r, owner := range at.table.IntCol(0) {
+				at.byOwner[s.rowIn[owner]] = int32(r)
+			}
+		}
+	}
 }
 
 func (s *Path) newPathTable(path, label string) *pathTable {
@@ -192,8 +247,6 @@ func (s *Path) newPathTable(path, label string) *pathTable {
 		}
 	}
 	pt.table = relational.NewTableShared(path, sch, s.dict)
-	pt.idIdx = pt.table.CreateIndex(pID)
-	pt.parentIdx = pt.table.CreateIndex(pParent)
 	pt.idx = len(s.entries)
 	s.catalog[path] = pt
 	s.byTag[label] = append(s.byTag[label], pt)
@@ -221,14 +274,23 @@ func (s *Path) appendInlined(doc *tree.Doc, n tree.NodeID, pt *pathTable, row re
 
 func (s *Path) entryOf(n tree.NodeID) *pathTable { return s.entries[s.pathOf[n]] }
 
-// rowOf finds the row index of node n inside its fragment.
-func (s *Path) rowOf(n tree.NodeID) (pt *pathTable, row int, ok bool) {
-	pt = s.entryOf(n)
-	ids := pt.idIdx.LookupInt(int64(n))
-	if len(ids) == 0 {
-		return pt, 0, false
+// rowOf locates node n: its fragment and its row there.
+func (s *Path) rowOf(n tree.NodeID) (*pathTable, int) {
+	return s.entryOf(n), int(s.rowIn[n])
+}
+
+// kids returns the ids of this fragment's rows whose parent is row r of
+// the parent fragment: a subslice of the clustered id column.
+func (c *pathTable) kids(r int) []tree.NodeID { return c.ids[c.first[r]:c.first[r+1]] }
+
+// attrRow locates n's attribute name: its attribute table and row there.
+func (s *Path) attrRow(n tree.NodeID, name string) (*attrTable, int, bool) {
+	pt, r := s.rowOf(n)
+	at := pt.attrs[name]
+	if at == nil || at.byOwner[r] < 0 {
+		return nil, 0, false
 	}
-	return pt, int(ids[0]), true
+	return at, int(at.byOwner[r]), true
 }
 
 // Name implements nodestore.Store.
@@ -255,8 +317,8 @@ func (s *Path) Tag(n tree.NodeID) string {
 
 // Text implements nodestore.Store.
 func (s *Path) Text(n tree.NodeID) string {
-	pt, row, ok := s.rowOf(n)
-	if pt.tag != textLabel || !ok {
+	pt, row := s.rowOf(n)
+	if pt.tag != textLabel {
 		return ""
 	}
 	return pt.table.Str(row, pValue)
@@ -264,17 +326,14 @@ func (s *Path) Text(n tree.NodeID) string {
 
 // Parent implements nodestore.Store.
 func (s *Path) Parent(n tree.NodeID) tree.NodeID {
-	pt, row, ok := s.rowOf(n)
-	if !ok {
-		return tree.Nil
-	}
+	pt, row := s.rowOf(n)
 	return tree.NodeID(pt.table.Int(row, pParent))
 }
 
-// Children implements nodestore.Store: one probe per child fragment, then
+// Children implements nodestore.Store: one range per child fragment, then
 // an ordinal merge — the fragmentation tax on full reconstruction.
 func (s *Path) Children(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
-	pt := s.entryOf(n)
+	pt, r := s.rowOf(n)
 	type ordNode struct {
 		ord int64
 		id  tree.NodeID
@@ -282,8 +341,9 @@ func (s *Path) Children(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
 	var kids []ordNode
 	for _, c := range pt.children {
 		s.metaOps.Add(1)
-		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
-			kids = append(kids, ordNode{c.table.Int(int(rid), pOrd), tree.NodeID(c.table.Int(int(rid), pID))})
+		ords := c.table.IntCol(pOrd)
+		for row := c.first[r]; row < c.first[r+1]; row++ {
+			kids = append(kids, ordNode{ords[row], c.ids[row]})
 		}
 	}
 	sort.Slice(kids, func(i, j int) bool { return kids[i].ord < kids[j].ord })
@@ -293,52 +353,35 @@ func (s *Path) Children(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
 	return buf
 }
 
-// TextChildren implements nodestore.TextChildLister: one probe of the
+// TextChildren implements nodestore.TextChildLister: one range of the
 // entry's #text child fragment. A single parent's text rows sit in
 // document order within that fragment, so unlike Children there is no
 // cross-fragment ordinal merge to pay.
 func (s *Path) TextChildren(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
-	pt := s.entryOf(n)
-	for _, c := range pt.children {
-		if c.tag != textLabel {
-			continue
-		}
-		s.metaOps.Add(1)
-		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
-			buf = append(buf, tree.NodeID(c.table.Int(int(rid), pID)))
-		}
-	}
-	return buf
+	return s.ChildrenByTag(n, textLabel, buf)
 }
 
-// ChildrenByTag implements nodestore.Store: a single-fragment probe, the
+// ChildrenByTag implements nodestore.Store: a single-fragment range, the
 // fragmentation win for targeted access.
 func (s *Path) ChildrenByTag(n tree.NodeID, tag string, buf []tree.NodeID) []tree.NodeID {
-	pt := s.entryOf(n)
+	pt, r := s.rowOf(n)
 	for _, c := range pt.children {
 		if c.tag != tag {
 			continue
 		}
 		s.metaOps.Add(1)
-		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
-			buf = append(buf, tree.NodeID(c.table.Int(int(rid), pID)))
-		}
+		buf = append(buf, c.kids(r)...)
 	}
 	return buf
 }
 
 // Attr implements nodestore.Store.
 func (s *Path) Attr(n tree.NodeID, name string) (string, bool) {
-	pt := s.entryOf(n)
-	at := pt.attrs[name]
-	if at == nil {
+	at, row, ok := s.attrRow(n, name)
+	if !ok {
 		return "", false
 	}
-	rows := at.ownerIdx.LookupInt(int64(n))
-	if len(rows) == 0 {
-		return "", false
-	}
-	return at.table.Str(int(rows[0]), 1), true
+	return at.table.Str(row, 1), true
 }
 
 // AttrCode implements nodestore.AttrCoder: the dictionary code of the
@@ -346,16 +389,11 @@ func (s *Path) Attr(n tree.NodeID, name string) (string, bool) {
 // decode. Codes are store-wide (the shared dictionary), so they compare
 // across fragments.
 func (s *Path) AttrCode(n tree.NodeID, name string) (int32, bool) {
-	pt := s.entryOf(n)
-	at := pt.attrs[name]
-	if at == nil {
+	at, row, ok := s.attrRow(n, name)
+	if !ok {
 		return 0, false
 	}
-	rows := at.ownerIdx.LookupInt(int64(n))
-	if len(rows) == 0 {
-		return 0, false
-	}
-	return at.table.Code(int(rows[0]), 1), true
+	return at.table.Code(row, 1), true
 }
 
 // CodeOf implements nodestore.AttrCoder.
@@ -363,11 +401,12 @@ func (s *Path) CodeOf(v string) (int32, bool) { return s.dict.Code(v) }
 
 // Attrs implements nodestore.Store.
 func (s *Path) Attrs(n tree.NodeID) []tree.Attr {
-	pt := s.entryOf(n)
+	pt, r := s.rowOf(n)
 	var out []tree.Attr
 	for _, name := range pt.attrNames {
-		if v, ok := s.Attr(n, name); ok {
-			out = append(out, tree.Attr{Name: name, Value: v})
+		at := pt.attrs[name]
+		if row := at.byOwner[r]; row >= 0 {
+			out = append(out, tree.Attr{Name: name, Value: at.table.Str(int(row), 1)})
 		}
 	}
 	return out
@@ -376,15 +415,9 @@ func (s *Path) Attrs(n tree.NodeID) []tree.Attr {
 // StringValue implements nodestore.Store: fragment-wise descent gathering
 // text rows, ordered by node id.
 func (s *Path) StringValue(n tree.NodeID) string {
-	pt, row, ok := s.rowOf(n)
+	pt, row := s.rowOf(n)
 	if pt.tag == textLabel {
-		if !ok {
-			return ""
-		}
 		return pt.table.Str(row, pValue)
-	}
-	if !ok {
-		return ""
 	}
 	lo, hi := n, tree.NodeID(pt.table.Int(row, pEnd))
 	type idText struct {
@@ -416,10 +449,7 @@ func (s *Path) StringValue(n tree.NodeID) string {
 
 // SubtreeEnd implements nodestore.Store.
 func (s *Path) SubtreeEnd(n tree.NodeID) tree.NodeID {
-	pt, row, ok := s.rowOf(n)
-	if !ok {
-		return n + 1
-	}
+	pt, row := s.rowOf(n)
 	return tree.NodeID(pt.table.Int(row, pEnd))
 }
 
@@ -538,49 +568,15 @@ func (s *Path) InlinedChildText(n tree.NodeID, tag string) (string, bool, bool) 
 	if !s.inline {
 		return "", false, false
 	}
-	pt, row, ok := s.rowOf(n)
+	pt, row := s.rowOf(n)
 	cols, has := pt.inlined[tag]
-	if !has || !ok {
+	if !has {
 		return "", false, false
 	}
 	if pt.table.Int(row, cols[1]) == 0 {
 		return "", false, true
 	}
 	return pt.table.Str(row, cols[0]), true, true
-}
-
-// colIDCursor streams the id column of one fragment over a posting list,
-// optionally filtering rows — the typed-column replacement for scanning
-// materialized rows.
-type colIDCursor struct {
-	ids   []int64 // the fragment's contiguous id column
-	rows  []int32
-	match func(row int32) bool // optional
-}
-
-func (c *colIDCursor) Next() (tree.NodeID, bool) {
-	for len(c.rows) > 0 {
-		row := c.rows[0]
-		c.rows = c.rows[1:]
-		if c.match == nil || c.match(row) {
-			return tree.NodeID(c.ids[row]), true
-		}
-	}
-	return tree.Nil, false
-}
-
-// NextBatch implements nodestore.BatchCursor.
-func (c *colIDCursor) NextBatch(dst []tree.NodeID) int {
-	n := 0
-	for len(c.rows) > 0 && n < len(dst) {
-		row := c.rows[0]
-		c.rows = c.rows[1:]
-		if c.match == nil || c.match(row) {
-			dst[n] = tree.NodeID(c.ids[row])
-			n++
-		}
-	}
-	return n
 }
 
 // ChildrenCursor implements nodestore.CursorStore. Reconstructing the full
@@ -592,15 +588,15 @@ func (s *Path) ChildrenCursor(n tree.NodeID) nodestore.Cursor {
 
 // ChildrenByTagCursor implements nodestore.CursorStore: the catalog names
 // at most one child fragment per label, so a tagged child step streams the
-// fragment's parent-index posting list directly.
+// parent's run of the fragment's clustered id column in place.
 func (s *Path) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
-	pt := s.entryOf(n)
+	pt, r := s.rowOf(n)
 	for _, c := range pt.children {
 		if c.tag != tag {
 			continue
 		}
 		s.metaOps.Add(1)
-		return &colIDCursor{ids: c.table.IntCol(pID), rows: c.parentIdx.LookupInt(int64(n))}
+		return nodestore.NewSliceCursor(c.kids(r))
 	}
 	return nodestore.EmptyCursor{}
 }
@@ -630,37 +626,30 @@ func (s *Path) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
 
 // ChildrenByTagFilteredCursor implements nodestore.FilteredCursorStore:
 // pushed-down predicates evaluate against the child fragment's own
-// attribute tables (and its #text child fragment) while the posting list
-// streams, so the engine never sees rejected rows. The predicates compile
-// against the store dictionary once per cursor.
+// attribute tables (and its #text child fragment) while the parent's run
+// of the child fragment streams, so the engine never sees rejected rows.
 func (s *Path) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []nodestore.ValueFilter) (nodestore.Cursor, bool) {
-	pt := s.entryOf(n)
+	pt, r := s.rowOf(n)
 	for _, c := range pt.children {
 		if c.tag != tag {
 			continue
 		}
 		s.metaOps.Add(1)
-		frag := c
-		cfs := compileFilters(s.dict, fs)
-		return &colIDCursor{
-			ids: c.table.IntCol(pID), rows: c.parentIdx.LookupInt(int64(n)),
-			match: func(row int32) bool {
-				return s.fragMatchCoded(frag, tree.NodeID(frag.table.Int(int(row), pID)), cfs)
-			},
-		}, true
+		return s.filteredCursor(c, c.kids(r), fs), true
 	}
 	return nodestore.EmptyCursor{}, true
 }
 
 // fragMatchCoded evaluates compiled pushed-down filters against one row of
-// a fragment: attribute filters probe the fragment's attribute table by
-// owner, text filters probe its #text child fragments, and a Child
-// component descends into the named child fragment first.
-func (s *Path) fragMatchCoded(pt *pathTable, id tree.NodeID, cfs []codedFilter) bool {
+// a fragment: attribute filters read the fragment's attribute table at the
+// owner's row, text filters read the row's run of its #text child
+// fragments, and a Child component descends into the named child
+// fragment's run first.
+func (s *Path) fragMatchCoded(pt *pathTable, row int, cfs []codedFilter) bool {
 	for i := range cfs {
 		cf := &cfs[i]
 		if cf.f.Child == "" {
-			if !s.fragValueMatchCoded(pt, id, cf) {
+			if !s.fragValueMatchCoded(pt, row, cf) {
 				return false
 			}
 			continue
@@ -670,8 +659,8 @@ func (s *Path) fragMatchCoded(pt *pathTable, id tree.NodeID, cfs []codedFilter) 
 			if c.tag != cf.f.Child {
 				continue
 			}
-			for _, rid := range c.parentIdx.LookupInt(int64(id)) {
-				if s.fragValueMatchCoded(c, tree.NodeID(c.table.Int(int(rid), pID)), cf) {
+			for crow := c.first[row]; crow < c.first[row+1]; crow++ {
+				if s.fragValueMatchCoded(c, int(crow), cf) {
 					matched = true
 					break
 				}
@@ -687,25 +676,20 @@ func (s *Path) fragMatchCoded(pt *pathTable, id tree.NodeID, cfs []codedFilter) 
 // fragValueMatchCoded applies the compiled filter's value source (the
 // fragment's attribute table, or its #text child fragments) at one
 // fragment row, comparing dictionary codes where equality suffices.
-func (s *Path) fragValueMatchCoded(pt *pathTable, id tree.NodeID, cf *codedFilter) bool {
+func (s *Path) fragValueMatchCoded(pt *pathTable, row int, cf *codedFilter) bool {
 	if cf.f.Attr != "" {
 		at := pt.attrs[cf.f.Attr]
-		if at == nil {
+		if at == nil || at.byOwner[row] < 0 {
 			return false
 		}
-		rows := at.ownerIdx.LookupInt(int64(id))
-		if len(rows) == 0 {
-			return false
-		}
-		return cf.matchCode(s.dict, at.table.Code(int(rows[0]), 1))
+		return cf.matchCode(s.dict, at.table.Code(int(at.byOwner[row]), 1))
 	}
 	for _, c := range pt.children {
 		if c.tag != textLabel {
 			continue
 		}
-		codes := c.table.CodeCol(pValue)
-		for _, rid := range c.parentIdx.LookupInt(int64(id)) {
-			if cf.matchCode(s.dict, codes[rid]) {
+		for _, code := range c.table.CodeCol(pValue)[c.first[row]:c.first[row+1]] {
+			if cf.matchCode(s.dict, code) {
 				return true
 			}
 		}
@@ -736,7 +720,7 @@ func (s *Path) PathExtentFilteredCursor(path []string, fs []nodestore.ValueFilte
 func (s *Path) filteredCursor(pt *pathTable, ids []tree.NodeID, fs []nodestore.ValueFilter) nodestore.Cursor {
 	cfs := compileFilters(s.dict, fs)
 	return nodestore.NewMatchSliceCursor(ids, func(id tree.NodeID) bool {
-		return s.fragMatchCoded(pt, id, cfs)
+		return s.fragMatchCoded(pt, int(s.rowIn[id]), cfs)
 	})
 }
 
@@ -794,13 +778,13 @@ func (s *Path) Stats() nodestore.Stats {
 	var size int64
 	tables := 0
 	for _, pt := range s.entries {
-		size += pt.table.SizeBytes() + int64(len(pt.ids))*4
+		size += pt.table.SizeBytes() + int64(len(pt.ids)+len(pt.first))*4
 		tables++
 		for _, at := range pt.attrs {
-			size += at.table.SizeBytes()
+			size += at.table.SizeBytes() + int64(len(at.byOwner))*4
 			tables++
 		}
 	}
-	size += int64(len(s.pathOf))*4 + s.dict.SizeBytes()
+	size += int64(len(s.pathOf)+len(s.rowIn))*4 + s.dict.SizeBytes()
 	return nodestore.Stats{Name: s.name, SizeBytes: size, Tables: tables, Nodes: s.nNodes}
 }

@@ -29,6 +29,8 @@ type AnalyzePoint struct {
 	OnNs        int64   `json:"on_ns_op"`
 	OverheadPct float64 `json:"overhead_pct"`
 	OutBytes    int     `json:"out_bytes"`
+	// Reps is the number of interleaved repetitions each best-of took.
+	Reps int `json:"reps"`
 	// Ops is the analyze run's operator-time breakdown, hottest first.
 	Ops []engine.OpBreakdown `json:"ops"`
 }
@@ -140,16 +142,21 @@ func (b *Benchmark) RunAnalyzeBench(systems []System, queryIDs []int, reps int) 
 }
 
 // timeAnalyzeCell times one cell's three modes, interleaved per
-// repetition, best-of. Fast cells repeat until a minimum window has
-// accumulated so sub-millisecond cells aren't one-shot noise.
+// repetition, best-of. Every cell runs at least minReps repetitions, and
+// repeats until each mode has accumulated minWindow, so neither a
+// sub-millisecond cell nor a 30-55 ms one rests on a handful of samples
+// that one scheduler hiccup can skew (the gate sums per-cell regressions,
+// so a single noisy slow cell used to decide it).
 func timeAnalyzeCell(prep *engine.Prepared, reps int, pt *AnalyzePoint) error {
 	const (
-		minWindow = 60 * time.Millisecond
+		minReps   = 7
+		minWindow = 250 * time.Millisecond
 		maxReps   = 2000
 	)
+	reps = max(reps, minReps)
 	runtime.GC()
-	var total time.Duration
-	for r := 0; r < reps || (total < minWindow && r < maxReps); r++ {
+	var totTuple, totOff, totOn time.Duration
+	for r := 0; r < reps || (min(totTuple, totOff, totOn) < minWindow && r < maxReps); r++ {
 		dTuple, _, err := timeOnce(prep, 1)
 		if err != nil {
 			return err
@@ -163,7 +170,10 @@ func timeAnalyzeCell(prep *engine.Prepared, reps int, pt *AnalyzePoint) error {
 			return err
 		}
 		dOn := time.Since(start)
-		total += dTuple + dOff + dOn
+		totTuple += dTuple
+		totOff += dOff
+		totOn += dOn
+		pt.Reps = r + 1
 		if r == 0 || dTuple.Nanoseconds() < pt.TupleNs {
 			pt.TupleNs = dTuple.Nanoseconds()
 		}

@@ -16,32 +16,46 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xquery: parse error at %d: %s", e.Pos, e.Msg)
 }
 
+// maxDepth bounds expression nesting. Without it a query of a few hundred
+// kilobytes of "(" would overflow the goroutine stack, a fatal error that
+// no recover() catches.
+const maxDepth = 1000
+
 type parser struct {
-	lx  *lexer
-	tok Token
-	err error
+	lx    *lexer
+	tok   Token
+	depth int // expressions currently open, see enter
 }
+
+// parseAbort carries the first error from wherever the parser met it up
+// to Parse, so no production ever runs on past an error (a production
+// that resumed could re-enter itself on the same unconsumed token
+// without end).
+type parseAbort struct{ err error }
 
 // Parse parses a query module: zero or more function declarations followed
 // by the body expression.
-func Parse(src string) (*Query, error) {
+func Parse(src string) (q *Query, err error) {
 	p := &parser{lx: newLexer(src)}
-	p.advance()
-	q := &Query{Functions: make(map[string]*FuncDecl)}
-	for p.err == nil && p.tok.Kind == TokName && p.tok.Text == "declare" {
-		fd := p.parseFuncDecl()
-		if p.err != nil {
-			return nil, p.err
+	defer func() {
+		if r := recover(); r != nil {
+			abort, ok := r.(parseAbort)
+			if !ok {
+				panic(r)
+			}
+			q, err = nil, abort.err
 		}
+	}()
+	p.advance()
+	q = &Query{Functions: make(map[string]*FuncDecl)}
+	for p.tok.Kind == TokName && p.tok.Text == "declare" {
+		fd := p.parseFuncDecl()
 		if _, dup := q.Functions[fd.Name]; dup {
 			return nil, &ParseError{Pos: p.tok.Pos, Msg: "duplicate function " + fd.Name}
 		}
 		q.Functions[fd.Name] = fd
 	}
 	q.Body = p.parseExpr()
-	if p.err != nil {
-		return nil, p.err
-	}
 	if p.tok.Kind != TokEOF {
 		return nil, &ParseError{Pos: p.tok.Pos, Msg: "trailing input " + p.tok.Text}
 	}
@@ -49,20 +63,23 @@ func Parse(src string) (*Query, error) {
 }
 
 func (p *parser) advance() {
-	if p.err != nil {
-		return
-	}
 	t, err := p.lx.next()
 	if err != nil {
-		p.err = err
-		return
+		panic(parseAbort{err})
 	}
 	p.tok = t
 }
 
+// fail records the parse error and aborts the parse.
 func (p *parser) fail(format string, args ...interface{}) {
-	if p.err == nil {
-		p.err = &ParseError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+	panic(parseAbort{&ParseError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}})
+}
+
+// enter opens one level of expression nesting; the caller closes it with
+// p.depth-- once the nested expression is parsed.
+func (p *parser) enter() {
+	if p.depth++; p.depth > maxDepth {
+		p.fail("expression nested deeper than %d levels", maxDepth)
 	}
 }
 
@@ -70,7 +87,6 @@ func (p *parser) expect(k TokKind, what string) Token {
 	t := p.tok
 	if t.Kind != k {
 		p.fail("expected %s, found %q", what, t.Text)
-		return t
 	}
 	p.advance()
 	return t
@@ -83,7 +99,6 @@ func (p *parser) keyword(word string) bool {
 func (p *parser) expectKeyword(word string) {
 	if !p.keyword(word) {
 		p.fail("expected %q, found %q", word, p.tok.Text)
-		return
 	}
 	p.advance()
 }
@@ -94,7 +109,7 @@ func (p *parser) parseFuncDecl() *FuncDecl {
 	name := p.expect(TokName, "function name").Text
 	p.expect(TokLParen, "(")
 	var params []string
-	for p.err == nil && p.tok.Kind != TokRParen {
+	for p.tok.Kind != TokRParen {
 		params = append(params, p.expect(TokVar, "parameter").Text)
 		if p.tok.Kind == TokComma {
 			p.advance()
@@ -108,31 +123,35 @@ func (p *parser) parseFuncDecl() *FuncDecl {
 	return &FuncDecl{Name: name, Params: params, Body: body}
 }
 
-// parseExpr parses a full (single) expression, dispatching on the FLWOR,
-// quantified and conditional keywords.
+// parseExpr parses one expression without the top-level comma operator,
+// dispatching on the FLWOR, quantified and conditional keywords.
 func (p *parser) parseExpr() Expr {
+	p.enter()
+	var e Expr
 	switch {
 	case p.keyword("for") || p.keyword("let"):
-		return p.parseFLWOR()
+		e = p.parseFLWOR()
 	case p.keyword("some") || p.keyword("every"):
-		return p.parseQuantified()
+		e = p.parseQuantified()
 	case p.keyword("if"):
-		return p.parseIf()
+		e = p.parseIf()
 	default:
-		return p.parseOr()
+		e = p.parseOr()
 	}
+	p.depth--
+	return e
 }
 
 func (p *parser) parseFLWOR() Expr {
 	f := &FLWOR{}
-	for p.err == nil {
+	for {
 		switch {
 		case p.keyword("for"):
 			p.advance()
-			for p.err == nil {
+			for {
 				v := p.expect(TokVar, "variable").Text
 				p.expectKeyword("in")
-				seq := p.parseSingle()
+				seq := p.parseExpr()
 				f.Clauses = append(f.Clauses, Clause{For: &ForClause{Var: v, Seq: seq}})
 				if p.tok.Kind != TokComma {
 					break
@@ -141,10 +160,10 @@ func (p *parser) parseFLWOR() Expr {
 			}
 		case p.keyword("let"):
 			p.advance()
-			for p.err == nil {
+			for {
 				v := p.expect(TokVar, "variable").Text
 				p.expect(TokAssign, ":=")
-				seq := p.parseSingle()
+				seq := p.parseExpr()
 				f.Clauses = append(f.Clauses, Clause{Let: &LetClause{Var: v, Seq: seq}})
 				if p.tok.Kind != TokComma {
 					break
@@ -158,13 +177,13 @@ func (p *parser) parseFLWOR() Expr {
 clausesDone:
 	if p.keyword("where") {
 		p.advance()
-		f.Where = p.parseSingle()
+		f.Where = p.parseExpr()
 	}
 	if p.keyword("order") {
 		p.advance()
 		p.expectKeyword("by")
-		for p.err == nil {
-			spec := OrderSpec{Key: p.parseSingle()}
+		for {
+			spec := OrderSpec{Key: p.parseExpr()}
 			if p.keyword("ascending") {
 				p.advance()
 			} else if p.keyword("descending") {
@@ -179,24 +198,24 @@ clausesDone:
 		}
 	}
 	p.expectKeyword("return")
-	f.Return = p.parseSingle()
+	f.Return = p.parseExpr()
 	return f
 }
 
 func (p *parser) parseQuantified() Expr {
 	q := &Quantified{Every: p.tok.Text == "every"}
 	p.advance()
-	for p.err == nil {
+	for {
 		q.Vars = append(q.Vars, p.expect(TokVar, "variable").Text)
 		p.expectKeyword("in")
-		q.Seqs = append(q.Seqs, p.parseSingle())
+		q.Seqs = append(q.Seqs, p.parseExpr())
 		if p.tok.Kind != TokComma {
 			break
 		}
 		p.advance()
 	}
 	p.expectKeyword("satisfies")
-	q.Satisfies = p.parseSingle()
+	q.Satisfies = p.parseExpr()
 	return q
 }
 
@@ -206,29 +225,15 @@ func (p *parser) parseIf() Expr {
 	cond := p.parseExpr()
 	p.expect(TokRParen, ")")
 	p.expectKeyword("then")
-	thenE := p.parseSingle()
+	thenE := p.parseExpr()
 	p.expectKeyword("else")
-	elseE := p.parseSingle()
+	elseE := p.parseExpr()
 	return &IfExpr{Cond: cond, Then: thenE, Else: elseE}
-}
-
-// parseSingle parses one expression without the top-level comma operator.
-func (p *parser) parseSingle() Expr {
-	switch {
-	case p.keyword("for") || p.keyword("let"):
-		return p.parseFLWOR()
-	case p.keyword("some") || p.keyword("every"):
-		return p.parseQuantified()
-	case p.keyword("if"):
-		return p.parseIf()
-	default:
-		return p.parseOr()
-	}
 }
 
 func (p *parser) parseOr() Expr {
 	left := p.parseAnd()
-	for p.err == nil && p.keyword("or") {
+	for p.keyword("or") {
 		p.advance()
 		left = &Binary{Op: OpOr, Left: left, Right: p.parseAnd()}
 	}
@@ -237,7 +242,7 @@ func (p *parser) parseOr() Expr {
 
 func (p *parser) parseAnd() Expr {
 	left := p.parseComparison()
-	for p.err == nil && p.keyword("and") {
+	for p.keyword("and") {
 		p.advance()
 		left = &Binary{Op: OpAnd, Left: left, Right: p.parseComparison()}
 	}
@@ -251,7 +256,7 @@ var cmpOps = map[TokKind]BinOp{
 
 func (p *parser) parseComparison() Expr {
 	left := p.parseAdditive()
-	if op, ok := cmpOps[p.tok.Kind]; ok && p.err == nil {
+	if op, ok := cmpOps[p.tok.Kind]; ok {
 		p.advance()
 		return &Binary{Op: op, Left: left, Right: p.parseAdditive()}
 	}
@@ -260,7 +265,7 @@ func (p *parser) parseComparison() Expr {
 
 func (p *parser) parseAdditive() Expr {
 	left := p.parseMultiplicative()
-	for p.err == nil {
+	for {
 		var op BinOp
 		switch p.tok.Kind {
 		case TokPlus:
@@ -273,12 +278,11 @@ func (p *parser) parseAdditive() Expr {
 		p.advance()
 		left = &Binary{Op: op, Left: left, Right: p.parseMultiplicative()}
 	}
-	return left
 }
 
 func (p *parser) parseMultiplicative() Expr {
 	left := p.parseUnary()
-	for p.err == nil {
+	for {
 		var op BinOp
 		switch {
 		case p.tok.Kind == TokStar:
@@ -293,13 +297,15 @@ func (p *parser) parseMultiplicative() Expr {
 		p.advance()
 		left = &Binary{Op: op, Left: left, Right: p.parseUnary()}
 	}
-	return left
 }
 
 func (p *parser) parseUnary() Expr {
 	if p.tok.Kind == TokMinus {
 		p.advance()
-		return &Unary{Operand: p.parseUnary()}
+		p.enter()
+		e := &Unary{Operand: p.parseUnary()}
+		p.depth--
+		return e
 	}
 	return p.parsePath()
 }
@@ -332,7 +338,7 @@ func (p *parser) parsePath() Expr {
 		}
 		input = prim
 	}
-	for p.err == nil {
+	for {
 		switch p.tok.Kind {
 		case TokSlash:
 			p.advance()
@@ -344,7 +350,6 @@ func (p *parser) parsePath() Expr {
 			return &Path{Input: input, Steps: steps}
 		}
 	}
-	return &Path{Input: input, Steps: steps}
 }
 
 func (p *parser) startsStep() bool {
@@ -378,7 +383,6 @@ func (p *parser) parseStep(axis Axis) *Step {
 		}
 	default:
 		p.fail("expected path step, found %q", p.tok.Text)
-		return st
 	}
 	st.Preds = p.parsePredicates()
 	return st
@@ -386,7 +390,7 @@ func (p *parser) parseStep(axis Axis) *Step {
 
 func (p *parser) parsePredicates() []Expr {
 	var preds []Expr
-	for p.err == nil && p.tok.Kind == TokLBracket {
+	for p.tok.Kind == TokLBracket {
 		p.advance()
 		preds = append(preds, p.parseExpr())
 		p.expect(TokRBracket, "]")
@@ -426,7 +430,7 @@ func (p *parser) parsePrimary() Expr {
 		}
 		first := p.parseExpr()
 		items := []Expr{first}
-		for p.err == nil && p.tok.Kind == TokComma {
+		for p.tok.Kind == TokComma {
 			p.advance()
 			items = append(items, p.parseExpr())
 		}
@@ -449,7 +453,7 @@ func (p *parser) parsePrimary() Expr {
 		if p.tok.Kind == TokLParen {
 			p.advance()
 			var args []Expr
-			for p.err == nil && p.tok.Kind != TokRParen {
+			for p.tok.Kind != TokRParen {
 				args = append(args, p.parseExpr())
 				if p.tok.Kind == TokComma {
 					p.advance()
@@ -464,7 +468,7 @@ func (p *parser) parsePrimary() Expr {
 		return &Path{Input: &ContextItem{}, Steps: []*Step{st}}
 	default:
 		p.fail("unexpected token %q", p.tok.Text)
-		return &Sequence{}
+		return nil
 	}
 }
 
@@ -475,9 +479,6 @@ func (p *parser) parseConstructor() Expr {
 	// Rewind the lexer to the '<' and scan raw.
 	p.lx.pos = p.tok.Pos
 	ctor := p.scanCtor()
-	if p.err != nil {
-		return &Sequence{}
-	}
 	p.advance() // refill token lookahead after raw scanning
 	return ctor
 }
@@ -486,17 +487,15 @@ func (p *parser) scanCtor() *ElementCtor {
 	lx := p.lx
 	if lx.pos >= len(lx.src) || lx.src[lx.pos] != '<' {
 		p.fail("expected constructor")
-		return nil
 	}
 	lx.pos++
 	tag := p.scanRawName()
 	ctor := &ElementCtor{Tag: tag}
 	// Attributes.
-	for p.err == nil {
+	for {
 		p.skipRawSpace()
 		if lx.pos >= len(lx.src) {
 			p.fail("unterminated constructor <%s", tag)
-			return ctor
 		}
 		c := lx.src[lx.pos]
 		if c == '/' {
@@ -514,7 +513,6 @@ func (p *parser) scanCtor() *ElementCtor {
 		p.skipRawSpace()
 		if lx.pos >= len(lx.src) || lx.src[lx.pos] != '=' {
 			p.fail("constructor attribute %q missing '='", aname)
-			return ctor
 		}
 		lx.pos++
 		p.skipRawSpace()
@@ -531,10 +529,9 @@ func (p *parser) scanCtor() *ElementCtor {
 			}
 		}
 	}
-	for p.err == nil {
+	for {
 		if lx.pos >= len(lx.src) {
 			p.fail("unterminated constructor <%s>", tag)
-			return ctor
 		}
 		switch lx.src[lx.pos] {
 		case '<':
@@ -548,32 +545,26 @@ func (p *parser) scanCtor() *ElementCtor {
 				p.skipRawSpace()
 				if lx.pos >= len(lx.src) || lx.src[lx.pos] != '>' {
 					p.fail("malformed closing tag </%s", closing)
-					return ctor
 				}
 				lx.pos++
 				return ctor
 			}
 			flushText(lx.pos)
+			p.enter()
 			child := p.scanCtor()
-			if p.err != nil {
-				return ctor
-			}
+			p.depth--
 			ctor.Content = append(ctor.Content, child)
 			textStart = lx.pos
 		case '{':
 			flushText(lx.pos)
 			lx.pos++
 			inner := p.parseEnclosed()
-			if p.err != nil {
-				return ctor
-			}
 			ctor.Content = append(ctor.Content, inner)
 			textStart = lx.pos
 		default:
 			lx.pos++
 		}
 	}
-	return ctor
 }
 
 // scanAttrValue scans a quoted constructor attribute value with optional
@@ -582,16 +573,14 @@ func (p *parser) scanAttrValue() []Expr {
 	lx := p.lx
 	if lx.pos >= len(lx.src) || (lx.src[lx.pos] != '"' && lx.src[lx.pos] != '\'') {
 		p.fail("constructor attribute missing quoted value")
-		return nil
 	}
 	quote := lx.src[lx.pos]
 	lx.pos++
 	var parts []Expr
 	start := lx.pos
-	for p.err == nil {
+	for {
 		if lx.pos >= len(lx.src) {
 			p.fail("unterminated attribute value")
-			return parts
 		}
 		c := lx.src[lx.pos]
 		if c == quote {
@@ -607,16 +596,12 @@ func (p *parser) scanAttrValue() []Expr {
 			}
 			lx.pos++
 			inner := p.parseEnclosed()
-			if p.err != nil {
-				return parts
-			}
 			parts = append(parts, inner)
 			start = lx.pos
 			continue
 		}
 		lx.pos++
 	}
-	return parts
 }
 
 // parseEnclosed parses the body of a constructor's enclosed expression
@@ -625,16 +610,12 @@ func (p *parser) scanAttrValue() []Expr {
 func (p *parser) parseEnclosed() Expr {
 	p.advance()
 	items := []Expr{p.parseExpr()}
-	for p.err == nil && p.tok.Kind == TokComma {
+	for p.tok.Kind == TokComma {
 		p.advance()
 		items = append(items, p.parseExpr())
 	}
-	if p.err != nil {
-		return &Sequence{}
-	}
 	if p.tok.Kind != TokRBrace {
 		p.fail("expected '}' in constructor, found %q", p.tok.Text)
-		return &Sequence{}
 	}
 	if len(items) == 1 {
 		return items[0]
