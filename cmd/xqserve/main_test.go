@@ -226,7 +226,7 @@ func TestPanicAnswers500(t *testing.T) {
 func TestMalformedQueryAnswers400(t *testing.T) {
 	s := newTestServer(t)
 	mux := s.routes(false)
-	for _, q := range []string{"for $", "let $", "some$", "<a>{for$}</a>"} {
+	for _, q := range []string{"for $", "let $", "some$", "<a>{for$}</a>", `string-length("&nbsp;")`, "<a>}</a>"} {
 		rec := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q}}.Encode(), nil)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("q=%q: status %d, want 400: %s", q, rec.Code, rec.Body.String())

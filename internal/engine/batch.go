@@ -288,23 +288,24 @@ func (t *toBatchIter) nextBatch() []tree.NodeID {
 	return t.buf[:n]
 }
 
-// constructBatch assembles one marked constructor content part — a
+// constructBatch emits one marked constructor content part — a
 // navigation over a bound variable whose steps are all simple child/text
-// steps — vector-at-a-time: the binding's NodeIDs walk every step through
-// the store's bulk children probes directly, one tight loop per step over
-// session-recycled scratch vectors, with no iterator objects and no
-// per-item interface dispatch. Constructors sit at the leaves of FLWOR
-// returns, where each binding holds a handful of nodes; pipeline
-// machinery per part per tuple costs more than the navigation itself
-// there, which is why this path loops in place instead of building batch
-// operators. ok is false when the binding holds anything but stored
-// nodes; the caller then falls back to the item pipeline, which is safe
-// because bindings are materialized sequences (re-iteration never
-// re-evaluates).
-func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) ([]Item, bool) {
+// steps — vector-at-a-time into the constructor buffer: the binding's
+// NodeIDs walk every step through the store's bulk children probes
+// directly, one tight loop per step over session-recycled scratch
+// vectors, with no iterator objects and no per-item interface dispatch.
+// Constructors sit at the leaves of FLWOR returns, where each binding
+// holds a handful of nodes; pipeline machinery per part per tuple costs
+// more than the navigation itself there, which is why this path loops in
+// place instead of building batch operators. It returns the number of
+// content items emitted. ok is false when the binding holds anything but
+// stored nodes; the caller then falls back to the item pipeline, which is
+// safe because nothing has been emitted and bindings are materialized
+// sequences (re-iteration never re-evaluates).
+func (ev *evaluator) constructBatch(part *plan.Node, env *bindings) (int, bool) {
 	seq, bound := env.peek(part.Input.Var)
 	if !bound {
-		return out, false
+		return 0, false
 	}
 	sess := ev.sess
 	cur := sess.getBatchBuf(len(seq))
@@ -312,7 +313,7 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 		n, isNode := it.(NodeItem)
 		if !isNode {
 			sess.putBatchBuf(cur)
-			return out, false
+			return 0, false
 		}
 		cur[i] = n.ID
 	}
@@ -320,7 +321,7 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 	txt, hasTxt := s.(nodestore.TextChildLister)
 	steps := part.Steps
 	// A final attribute step emits its values as string content directly —
-	// the tuple pipeline's contentItem turns attribute nodes into text.
+	// the tuple pipeline's appendContent turns attribute nodes into text.
 	var attrStep *plan.StepPlan
 	if n := len(steps); n > 0 && steps[n-1].Axis == xquery.AxisAttribute {
 		attrStep, steps = steps[n-1], steps[:n-1]
@@ -359,28 +360,31 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 			// attribute axes.
 			sess.putBatchBuf(next)
 			sess.putBatchBuf(cur)
-			return out, false
+			return 0, false
 		}
 		sess.putBatchBuf(cur)
 		cur = next
 	}
+	items := len(cur)
 	if attrStep != nil {
 		naive := ev.opts.NaiveStrings
+		items = 0
 		for _, id := range cur {
 			if v, ok := s.Attr(id, attrStep.Name); ok {
 				if naive {
 					v = string(append([]byte(nil), v...))
 				}
-				out = append(out, StrItem(v))
+				ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, v)
+				items++
 			}
 		}
 	} else {
 		for _, id := range cur {
-			out = append(out, NodeItem{ID: id})
+			ev.appendStored(id)
 		}
 	}
 	sess.putBatchBuf(cur)
-	return out, true
+	return items, true
 }
 
 // kidSlot memoizes one (parent, tag) child probe. Constructor content

@@ -206,6 +206,7 @@ func (p *Prepared) executeProfiled(sess *Session, prof *profile, consume func(*e
 	// unwinding: partition workers never outlive their execution, whether
 	// it finished, errored, or the consumer stopped pulling mid-stream.
 	defer ev.stopGathers()
+	defer func() { sess.putSerBuf(ev.ctorBuf) }()
 	return consume(ev, ev.iter(p.plan.Root, &bindings{}))
 }
 

@@ -98,6 +98,12 @@ type evaluator struct {
 	// to the store.
 	ctorKids [2]kidSlot
 
+	// ctorBuf is the constructor output buffer: construct writes each
+	// element's markup here and copies it out once (see construct for the
+	// re-entrancy rule). Taken from the Session on first use and returned
+	// when the execution ends.
+	ctorBuf []byte
+
 	// prof collects EXPLAIN ANALYZE counters when non-nil. The normal
 	// path keeps it nil and pays one pointer check per operator
 	// construction; partition workers never carry one (they report
@@ -830,21 +836,23 @@ func (ev *evaluator) attrIndexStep(ctx Seq, tag, aname, value string) (Seq, bool
 	return out, true
 }
 
+// stepFromConstructed steps from a constructed element through its
+// decoded view.
 func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
 	var out Seq
 	switch sp.Axis {
 	case xquery.AxisChild:
-		for _, ch := range c.Children {
-			if el, ok := ch.(*Constructed); ok && (sp.Name == "*" || el.Tag == sp.Name) {
+		for _, ch := range c.decoded().kids {
+			if el, ok := ch.(*Constructed); ok && (sp.Name == "*" || el.Tag() == sp.Name) {
 				out = append(out, el)
 			}
 		}
 	case xquery.AxisDescendant:
 		var walk func(el *Constructed)
 		walk = func(el *Constructed) {
-			for _, ch := range el.Children {
+			for _, ch := range el.decoded().kids {
 				if sub, ok := ch.(*Constructed); ok {
-					if sp.Name == "*" || sub.Tag == sp.Name {
+					if sp.Name == "*" || sub.Tag() == sp.Name {
 						out = append(out, sub)
 					}
 					walk(sub)
@@ -853,13 +861,13 @@ func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
 		}
 		walk(c)
 	case xquery.AxisAttribute:
-		for _, a := range c.Attrs {
+		for _, a := range c.decoded().attrs {
 			if a.Name == sp.Name {
 				out = append(out, AttrItem{Owner: tree.Nil, Name: a.Name, Value: a.Value})
 			}
 		}
 	case xquery.AxisText:
-		for _, ch := range c.Children {
+		for _, ch := range c.decoded().kids {
 			if s, ok := ch.(StrItem); ok {
 				out = append(out, s)
 			}
@@ -1481,14 +1489,39 @@ func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
 
 // ---- constructors ----
 
+// construct evaluates an element constructor into its markup. The bytes
+// are written into ev.ctorBuf from the call's base offset and copied out
+// once; nested constructors in the content emit in place. Content and
+// attribute evaluation can re-enter construct (a FLWOR in the content that
+// returns constructors), so every append goes through the ev.ctorBuf
+// field, never a local copy of the slice, and each call truncates the
+// buffer back to its base after copying its bytes out.
 func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
+	if ev.ctorBuf == nil {
+		ev.ctorBuf = ev.sess.getSerBuf()
+	}
+	base := len(ev.ctorBuf)
+	ev.emitCtor(n, env)
+	c := &Constructed{Markup: string(ev.ctorBuf[base:])}
+	ev.ctorBuf = ev.ctorBuf[:base]
+	return c
+}
+
+// emitCtor appends the markup of constructor n to ev.ctorBuf: exactly the
+// bytes the result writers emit for the constructed element. The element
+// closes as "<t/>" when its content produced no items, counted as items,
+// not bytes: <a>{""}</a> stays <a></a>.
+func (ev *evaluator) emitCtor(n *plan.Node, env *bindings) {
 	c := n.Expr.(*xquery.ElementCtor)
-	out := &Constructed{Tag: c.Tag}
+	ev.ctorBuf = append(ev.ctorBuf, '<')
+	ev.ctorBuf = append(ev.ctorBuf, c.Tag...)
 	for ai, a := range c.Attrs {
-		var val []byte
+		ev.ctorBuf = append(ev.ctorBuf, ' ')
+		ev.ctorBuf = append(ev.ctorBuf, a.Name...)
+		ev.ctorBuf = append(ev.ctorBuf, '=', '"')
 		for _, part := range n.CtorAttrs[ai] {
 			if lit, ok := part.Expr.(*xquery.StringLit); ok && part.Op == plan.OpLiteral {
-				val = append(val, lit.Val...)
+				ev.ctorBuf = tree.AppendEscapedAttr(ev.ctorBuf, lit.Val)
 				continue
 			}
 			it := ev.iter(part, env)
@@ -1498,29 +1531,35 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 					break
 				}
 				if i > 0 {
-					val = append(val, ' ')
+					ev.ctorBuf = append(ev.ctorBuf, ' ')
 				}
-				val = append(val, itemString(ev.atomize(v))...)
+				s := itemString(ev.atomize(v))
+				ev.ctorBuf = tree.AppendEscapedAttr(ev.ctorBuf, s)
 			}
 		}
-		out.Attrs = append(out.Attrs, tree.Attr{Name: a.Name, Value: string(val)})
+		ev.ctorBuf = append(ev.ctorBuf, '"')
 	}
+	ev.ctorBuf = append(ev.ctorBuf, '>')
+	open := len(ev.ctorBuf)
+	items := 0
 	for _, part := range n.Content {
 		switch {
 		case part.Op == plan.OpLiteral:
 			if lit, ok := part.Expr.(*xquery.StringLit); ok {
-				out.Children = append(out.Children, StrItem(lit.Val))
+				ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, lit.Val)
+				items++
 				continue
 			}
 		case part.Op == plan.OpCtor:
-			out.Children = append(out.Children, ev.construct(part, env))
+			ev.emitCtor(part, env)
+			items++
 			continue
 		case part.Vectorized && ev.batchSize > 1:
-			// The vectorize rule marked this part: assemble its children
-			// vector-at-a-time from the binding's NodeID batches instead of
-			// one boxed item per Next dispatch.
-			if kids, ok := ev.constructBatch(part, env, out.Children); ok {
-				out.Children = kids
+			// The vectorize rule marked this part: emit its nodes
+			// vector-at-a-time from the binding's NodeID batches instead
+			// of one boxed item per Next dispatch.
+			if k, ok := ev.constructBatch(part, env); ok {
+				items += k
 				continue
 			}
 		}
@@ -1530,22 +1569,49 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 			if !ok {
 				break
 			}
-			out.Children = append(out.Children, ev.contentItem(v))
+			ev.appendContent(v)
+			items++
 		}
 	}
-	return out
+	if items == 0 {
+		ev.ctorBuf = append(ev.ctorBuf[:open-1], '/', '>')
+		return
+	}
+	ev.ctorBuf = append(ev.ctorBuf, '<', '/')
+	ev.ctorBuf = append(ev.ctorBuf, c.Tag...)
+	ev.ctorBuf = append(ev.ctorBuf, '>')
 }
 
-// contentItem adapts an evaluated item for inclusion in constructed
-// content: atomics become text, attribute nodes become text (simplified),
-// and nodes are kept by reference (serialization copies them).
-func (ev *evaluator) contentItem(it Item) Item {
+// appendContent emits one evaluated content item, copied: atomics and
+// attribute nodes become escaped text (adjacent ones unseparated), stored
+// nodes and the document node emit their whole subtrees, and constructed
+// elements their markup.
+func (ev *evaluator) appendContent(it Item) {
 	switch v := it.(type) {
+	case StrItem:
+		ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, string(v))
 	case NumItem, BoolItem:
-		return StrItem(itemString(v))
+		ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, itemString(v))
 	case AttrItem:
-		return StrItem(v.Value)
-	default:
-		return it
+		ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, v.Value)
+	case NodeItem:
+		ev.appendStored(v.ID)
+	case DocItem:
+		ev.ctorBuf = appendSubtree(ev.ctorBuf, ev.store, ev.store.Root())
+	case *Constructed:
+		ev.ctorBuf = append(ev.ctorBuf, v.Markup...)
 	}
+}
+
+// appendStored emits a stored node into the constructor buffer. Single
+// text nodes — the dominant constructed-content shape (Q10's field
+// values, Q19's location text) — skip the subtree-batch machinery: a
+// range walk buys nothing for a one-node subtree, and its setup costs
+// more than the one text fetch it wraps.
+func (ev *evaluator) appendStored(n tree.NodeID) {
+	if ev.store.Kind(n) == tree.Text {
+		ev.ctorBuf = tree.AppendEscapedText(ev.ctorBuf, ev.store.Text(n))
+		return
+	}
+	ev.ctorBuf = appendSubtree(ev.ctorBuf, ev.store, n)
 }

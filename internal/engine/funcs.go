@@ -184,7 +184,7 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		case AttrItem:
 			return one(StrItem(v.Name))
 		case *Constructed:
-			return one(StrItem(v.Tag))
+			return one(StrItem(v.Tag()))
 		}
 		return one(StrItem(""))
 	default:

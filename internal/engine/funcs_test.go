@@ -331,6 +331,67 @@ func TestConstructedNavigation(t *testing.T) {
 	if got != "v" {
 		t.Errorf("constructed attribute = %q", got)
 	}
+	// Content is a copy: stored nodes placed in it are visible to steps
+	// and to the string value.
+	if got := q(t, e, `string(<a>{/site/people/person[1]/name}</a>)`); got != "Ada" {
+		t.Errorf("string value over stored content = %q, want Ada", got)
+	}
+	if got := q(t, e, `count(<a>{/site/people/person[1]/name}</a>/name)`); got != "1" {
+		t.Errorf("child step over stored content = %q, want 1", got)
+	}
+	if got := q(t, e, `<a>{/site/people/person[1]}</a>//emailaddress/text()`); got != "a@x" {
+		t.Errorf("descendant step over stored content = %q, want a@x", got)
+	}
+	// The document node copies as its root element.
+	if got, want := q(t, e, `<a>{/}</a>`), "<a>"+q(t, e, `/`)+"</a>"; got != want {
+		t.Errorf("<a>{/}</a> = %.80q..., want %.80q...", got, want)
+	}
+	if got := q(t, e, `count(<a>{/}</a>/site/people/person)`); got != "4" {
+		t.Errorf("steps into a copied document = %q, want 4", got)
+	}
+	// Adjacent text runs merge into one text node.
+	if got := q(t, e, `count(<a>x{1}y<b/>{"z"}</a>/text())`); got != "2" {
+		t.Errorf("text nodes = %q, want 2", got)
+	}
+	if got := q(t, e, `(<a>x{1}y<b/>z</a>/text())[1]`); got != "x1y" {
+		t.Errorf("merged text = %q, want x1y", got)
+	}
+	// Escaped content decodes for navigation and re-escapes on output.
+	if got := q(t, e, `<a k="&lt;{"&quot;"}&amp;">x &amp; {"<y>"}</a>`); got != `<a k="&lt;&quot;&amp;">x &amp; &lt;y&gt;</a>` {
+		t.Errorf("escaped constructor = %q", got)
+	}
+	if got := q(t, e, `string(<a k="&lt;">x &amp; {"<y>"}</a>/@k) = "<"`); got != "true" {
+		t.Errorf("decoded attribute = %q", got)
+	}
+	if got := q(t, e, `string-length(<a>x &amp; {"<y>"}</a>)`); got != "7" {
+		t.Errorf("decoded string value length = %q, want 7", got)
+	}
+	// Empty content closes as <t/> by item count, not byte count.
+	if got := q(t, e, `(<a>{""}</a>, <b>{()}</b>, <c/>)`); got != "<a></a><b/><c/>" {
+		t.Errorf("empty constructors = %q", got)
+	}
+	if got := q(t, e, `name(<a>{/site/people/person[1]}</a>/*)`); got != "person" {
+		t.Errorf("name of a copied child = %q, want person", got)
+	}
+}
+
+// TestLiteralEscapesEvaluate checks that references in literals decode
+// before evaluation and re-escape once on output.
+func TestLiteralEscapesEvaluate(t *testing.T) {
+	e := fnEngine(t)
+	for src, want := range map[string]string{
+		`string-length("&lt;")`:   "1",
+		`<a>x &amp; y</a>`:        "<a>x &amp; y</a>",
+		`<a>{{x}}</a>`:            "<a>{x}</a>",
+		`<a b="{{1}}"/>`:          `<a b="{1}"/>`,
+		`'it''s'`:                 "it's",
+		`<a b="&#x41;&quot;"/>`:   `<a b="A&quot;"/>`,
+		`concat("&#60;", "&gt;")`: "&lt;&gt;",
+	} {
+		if got := q(t, e, src); got != want {
+			t.Errorf("%s = %q, want %q", src, got, want)
+		}
+	}
 }
 
 func TestWildcardDescendant(t *testing.T) {

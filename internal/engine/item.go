@@ -21,6 +21,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/tree"
 )
@@ -41,11 +42,17 @@ type AttrItem struct {
 	Value string
 }
 
-// Constructed is an element created by a constructor expression.
+// Constructed is an element created by a constructor expression, held as
+// its serialized markup: the exact bytes both result writers emit for it.
+// Constructors write those bytes once, while they evaluate their content;
+// serialization is one copy. The rare consumers that need structure
+// (path steps, atomization, name()) decode it on demand — see ctorview.go.
 type Constructed struct {
-	Tag      string
-	Attrs    []tree.Attr
-	Children []Item // StrItem, *Constructed, NodeItem, AttrItem
+	Markup string
+	// view caches the decoded child/attribute view. It is published
+	// atomically: a constructed value bound in an outer let is shared by
+	// every partition worker of a Gather below it.
+	view atomic.Pointer[ctorView]
 }
 
 // DocItem is the virtual document node above the root element; "/" and
@@ -96,22 +103,9 @@ func (ev *evaluator) atomize(it Item) Item {
 	case AttrItem:
 		return StrItem(v.Value)
 	case *Constructed:
-		var b strings.Builder
-		constructedText(v, &b)
-		return StrItem(b.String())
+		return StrItem(markupText(v.Markup))
 	default:
 		return it
-	}
-}
-
-func constructedText(c *Constructed, b *strings.Builder) {
-	for _, ch := range c.Children {
-		switch v := ch.(type) {
-		case StrItem:
-			b.WriteString(string(v))
-		case *Constructed:
-			constructedText(v, b)
-		}
 	}
 }
 

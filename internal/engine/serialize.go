@@ -136,7 +136,7 @@ func (iw *ItemWriter) WriteItem(it Item) error {
 		serializeStored(sw, store, store.Root())
 		iw.prevAtomic = false
 	case *Constructed:
-		serializeConstructed(sw, store, v)
+		sw.str(v.Markup)
 		iw.prevAtomic = false
 	}
 	if !iw.wrote {
@@ -215,12 +215,9 @@ const batchFlushThreshold = 32 << 10
 // through the Session so steady-state serialization allocates nothing.
 // Output is byte-identical to ItemWriter over the same items.
 type batchItemWriter struct {
-	w     io.Writer
-	store nodestore.Store
-	sess  *Session
-	// sub is the store's native subtree-batch capability, probed once per
-	// writer; nil falls back to the generic pre-order range walk.
-	sub        nodestore.SubtreeAppender
+	w          io.Writer
+	store      nodestore.Store
+	sess       *Session
 	buf        []byte
 	err        error
 	prevAtomic bool
@@ -230,8 +227,7 @@ type batchItemWriter struct {
 }
 
 func newBatchItemWriter(w io.Writer, store nodestore.Store, sess *Session) *batchItemWriter {
-	sub, _ := store.(nodestore.SubtreeAppender)
-	return &batchItemWriter{w: w, store: store, sess: sess, sub: sub, buf: sess.getSerBuf()}
+	return &batchItemWriter{w: w, store: store, sess: sess, buf: sess.getSerBuf()}
 }
 
 // WriteItem appends one result item's serialization to the buffer,
@@ -266,13 +262,13 @@ func (bw *batchItemWriter) WriteItem(it Item) error {
 			bw.prevAtomic = true
 			break
 		}
-		bw.appendStored(v.ID)
+		bw.buf = appendSubtree(bw.buf, bw.store, v.ID)
 		bw.prevAtomic = false
 	case DocItem:
-		bw.appendStored(bw.store.Root())
+		bw.buf = appendSubtree(bw.buf, bw.store, bw.store.Root())
 		bw.prevAtomic = false
 	case *Constructed:
-		bw.appendConstructed(v)
+		bw.buf = append(bw.buf, v.Markup...)
 		bw.prevAtomic = false
 	}
 	if !bw.wrote {
@@ -287,56 +283,14 @@ func (bw *batchItemWriter) WriteItem(it Item) error {
 	return bw.err
 }
 
-// appendStored emits a stored node's whole subtree as one batch.
-func (bw *batchItemWriter) appendStored(n tree.NodeID) {
-	if bw.sub != nil {
-		bw.buf = bw.sub.AppendSubtree(bw.buf, n)
-		return
+// appendSubtree emits a stored node's whole subtree through the store's
+// subtree-batch capability (nodestore.SubtreeAppender), falling back to
+// the generic pre-order range walk.
+func appendSubtree(dst []byte, store nodestore.Store, n tree.NodeID) []byte {
+	if sub, ok := store.(nodestore.SubtreeAppender); ok {
+		return sub.AppendSubtree(dst, n)
 	}
-	bw.buf = nodestore.AppendSubtreeRange(bw.buf, bw.store, n)
-}
-
-func (bw *batchItemWriter) appendConstructed(c *Constructed) {
-	bw.buf = append(bw.buf, '<')
-	bw.buf = append(bw.buf, c.Tag...)
-	for _, a := range c.Attrs {
-		bw.buf = append(bw.buf, ' ')
-		bw.buf = append(bw.buf, a.Name...)
-		bw.buf = append(bw.buf, '=', '"')
-		bw.buf = tree.AppendEscapedAttr(bw.buf, a.Value)
-		bw.buf = append(bw.buf, '"')
-	}
-	if len(c.Children) == 0 {
-		bw.buf = append(bw.buf, '/', '>')
-		return
-	}
-	bw.buf = append(bw.buf, '>')
-	for _, ch := range c.Children {
-		switch v := ch.(type) {
-		case StrItem:
-			bw.buf = tree.AppendEscapedText(bw.buf, string(v))
-		case NumItem, BoolItem:
-			bw.buf = tree.AppendEscapedText(bw.buf, itemString(v))
-		case AttrItem:
-			bw.buf = tree.AppendEscapedText(bw.buf, v.Value)
-		case NodeItem:
-			// Single text nodes — the dominant constructed-content shape
-			// (Q10's field values, Q19's location text) — skip the
-			// subtree-batch machinery: a range walk buys nothing for a
-			// one-node subtree, and its setup (subtree-end probe, walk
-			// state) costs more than the one text fetch it wraps.
-			if bw.store.Kind(v.ID) == tree.Text {
-				bw.buf = tree.AppendEscapedText(bw.buf, bw.store.Text(v.ID))
-				break
-			}
-			bw.appendStored(v.ID)
-		case *Constructed:
-			bw.appendConstructed(v)
-		}
-	}
-	bw.buf = append(bw.buf, '<', '/')
-	bw.buf = append(bw.buf, c.Tag...)
-	bw.buf = append(bw.buf, '>')
+	return nodestore.AppendSubtreeRange(dst, store, n)
 }
 
 // flushBuf writes the buffered bytes and rewinds the buffer.
@@ -401,40 +355,6 @@ func serializeStored(w *errWriter, store nodestore.Store, n tree.NodeID) {
 	}
 	w.str("</")
 	w.str(tag)
-	w.str(">")
-}
-
-func serializeConstructed(w *errWriter, store nodestore.Store, c *Constructed) {
-	w.str("<")
-	w.str(c.Tag)
-	for _, a := range c.Attrs {
-		w.str(" ")
-		w.str(a.Name)
-		w.str(`="`)
-		w.str(escapeAttr(a.Value))
-		w.str(`"`)
-	}
-	if len(c.Children) == 0 {
-		w.str("/>")
-		return
-	}
-	w.str(">")
-	for _, ch := range c.Children {
-		switch v := ch.(type) {
-		case StrItem:
-			w.str(escapeText(string(v)))
-		case NumItem, BoolItem:
-			w.str(escapeText(itemString(v)))
-		case AttrItem:
-			w.str(escapeText(v.Value))
-		case NodeItem:
-			serializeStored(w, store, v.ID)
-		case *Constructed:
-			serializeConstructed(w, store, v)
-		}
-	}
-	w.str("</")
-	w.str(c.Tag)
 	w.str(">")
 }
 

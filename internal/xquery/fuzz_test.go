@@ -11,13 +11,22 @@ import (
 
 // FuzzParse feeds arbitrary text to the parser: it must return, with
 // either a query or an error, and never crash. The seeds are the 23
-// benchmark query texts; testdata/fuzz/FuzzParse holds inputs that once
-// sent the parser into unbounded recursion (a production resumed after
-// an error and re-entered itself on the same unconsumed token).
+// benchmark query texts plus the literal escape shapes (references,
+// doubled delimiters and braces); testdata/fuzz/FuzzParse holds inputs
+// that once sent the parser into unbounded recursion (a production
+// resumed after an error and re-entered itself on the same unconsumed
+// token).
 func FuzzParse(f *testing.F) {
 	card := xmlgen.Scale(0.1)
 	for _, q := range append(xmark.Queries(), xmark.HybridQueries()...) {
 		f.Add(q.Text(card))
+	}
+	for _, src := range []string{
+		`string-length("&lt;")`, `"&#65;&#x1F600;"`, `'it''s'`, `"a""b"`,
+		`<a>x &amp; y</a>`, `<a>{{x}}</a>`, `<a b="{{1}}"/>`, `<a b='it''s'>&#32;</a>`,
+		`"&foo;"`, `<a>}</a>`, `"&#xD800;"`,
+	} {
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := xquery.Parse(src)

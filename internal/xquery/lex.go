@@ -11,7 +11,10 @@
 package xquery
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -120,6 +123,51 @@ func isNameChar(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// isSpace reports whether c is XML whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// predefinedEntities are the five entity references XQuery predefines.
+var predefinedEntities = map[string]string{
+	"lt": "<", "gt": ">", "amp": "&", "quot": `"`, "apos": "'",
+}
+
+// decodeRef decodes the entity or character reference at the start of s,
+// which begins with '&': a predefined entity (&lt; &gt; &amp; &quot;
+// &apos;) or a character reference (&#N; or &#xH;) to a legal XML
+// character. It returns the replacement text and the reference's length,
+// or an error when the reference is malformed or unknown.
+func decodeRef(s []byte) (string, int, error) {
+	end := bytes.IndexByte(s, ';')
+	if end < 0 {
+		return "", 0, errors.New("'&' does not start a reference; write &amp;")
+	}
+	name := string(s[1:end])
+	if r, ok := predefinedEntities[name]; ok {
+		return r, end + 1, nil
+	}
+	if !strings.HasPrefix(name, "#") {
+		return "", 0, fmt.Errorf("unknown entity reference &%s;", name)
+	}
+	digits, base := name[1:], 10
+	if strings.HasPrefix(digits, "x") {
+		digits, base = digits[1:], 16
+	}
+	cp, err := strconv.ParseUint(digits, base, 32)
+	if err != nil {
+		return "", 0, fmt.Errorf("malformed character reference &%s;", name)
+	}
+	if !isXMLChar(rune(cp)) {
+		return "", 0, fmt.Errorf("character reference &%s; is not a legal XML character", name)
+	}
+	return string(rune(cp)), end + 1, nil
+}
+
+// isXMLChar reports whether r is in XML 1.0's Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x9 || r == 0xA || r == 0xD ||
+		r >= 0x20 && r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF
+}
+
 // next returns the next token.
 func (l *lexer) next() (Token, error) {
 	l.skipSpaceAndComments()
@@ -156,16 +204,35 @@ func (l *lexer) next() (Token, error) {
 		return Token{Kind: TokVar, Text: string(l.src[ns:l.pos]), Pos: start}, nil
 	case c == '"' || c == '\'':
 		l.pos++
-		var b strings.Builder
-		for l.pos < len(l.src) && l.src[l.pos] != c {
-			b.WriteByte(l.src[l.pos])
+		var b []byte
+		for {
+			if l.pos >= len(l.src) {
+				return Token{}, l.errf("unterminated string literal")
+			}
+			ch := l.src[l.pos]
+			if ch == c {
+				// A doubled delimiter stands for one delimiter character.
+				if l.pos+1 < len(l.src) && l.src[l.pos+1] == c {
+					b = append(b, c)
+					l.pos += 2
+					continue
+				}
+				break
+			}
+			if ch == '&' {
+				r, n, err := decodeRef(l.src[l.pos:])
+				if err != nil {
+					return Token{}, l.errf("%v", err)
+				}
+				b = append(b, r...)
+				l.pos += n
+				continue
+			}
+			b = append(b, ch)
 			l.pos++
 		}
-		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated string literal")
-		}
 		l.pos++
-		return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
+		return Token{Kind: TokString, Text: string(b), Pos: start}, nil
 	case isDigit(c):
 		l.pos++
 		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {

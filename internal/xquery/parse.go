@@ -519,24 +519,27 @@ func (p *parser) scanCtor() *ElementCtor {
 		parts := p.scanAttrValue()
 		ctor.Attrs = append(ctor.Attrs, AttrCtor{Name: aname, Parts: parts})
 	}
-	// Content.
-	var textStart = lx.pos
-	flushText := func(end int) {
-		if end > textStart {
-			txt := string(lx.src[textStart:end])
-			if strings.TrimSpace(txt) != "" {
-				ctor.Content = append(ctor.Content, &StringLit{Val: txt})
-			}
+	// Content. Literal text decodes references and doubled braces as it
+	// goes; a run of literal whitespace alone between the content's
+	// boundaries, constructors and enclosed expressions is boundary
+	// whitespace and dropped. Whitespace written as a character
+	// reference is not boundary whitespace.
+	var txt []byte
+	boundary := true
+	flushText := func() {
+		if len(txt) > 0 && !boundary {
+			ctor.Content = append(ctor.Content, &StringLit{Val: string(txt)})
 		}
+		txt, boundary = txt[:0], true
 	}
 	for {
 		if lx.pos >= len(lx.src) {
 			p.fail("unterminated constructor <%s>", tag)
 		}
-		switch lx.src[lx.pos] {
+		switch c := lx.src[lx.pos]; c {
 		case '<':
+			flushText()
 			if strings.HasPrefix(string(lx.src[lx.pos:]), "</") {
-				flushText(lx.pos)
 				lx.pos += 2
 				closing := p.scanRawName()
 				if closing != tag {
@@ -549,26 +552,61 @@ func (p *parser) scanCtor() *ElementCtor {
 				lx.pos++
 				return ctor
 			}
-			flushText(lx.pos)
 			p.enter()
 			child := p.scanCtor()
 			p.depth--
 			ctor.Content = append(ctor.Content, child)
-			textStart = lx.pos
-		case '{':
-			flushText(lx.pos)
+		case '{', '}':
+			if p.doubledBrace(c) {
+				txt = append(txt, c)
+				boundary = false
+				continue
+			}
+			flushText()
 			lx.pos++
 			inner := p.parseEnclosed()
 			ctor.Content = append(ctor.Content, inner)
-			textStart = lx.pos
+		case '&':
+			txt = append(txt, p.scanRef()...)
+			boundary = false
 		default:
+			if !isSpace(c) {
+				boundary = false
+			}
+			txt = append(txt, c)
 			lx.pos++
 		}
 	}
 }
 
+// doubledBrace consumes "{{" or "}}" at the raw position, reporting
+// whether it found one; c is the brace there. A lone '}' is an error.
+func (p *parser) doubledBrace(c byte) bool {
+	lx := p.lx
+	if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == c {
+		lx.pos += 2
+		return true
+	}
+	if c == '}' {
+		p.fail("unescaped '}' in constructor; write '}}'")
+	}
+	return false
+}
+
+// scanRef consumes the entity or character reference at the raw
+// position and returns its replacement text.
+func (p *parser) scanRef() string {
+	r, n, err := decodeRef(p.lx.src[p.lx.pos:])
+	if err != nil {
+		p.fail("%v", err)
+	}
+	p.lx.pos += n
+	return r
+}
+
 // scanAttrValue scans a quoted constructor attribute value with optional
-// {expr} embeddings.
+// {expr} embeddings. Literal parts decode references, doubled braces and
+// the doubled quote character.
 func (p *parser) scanAttrValue() []Expr {
 	lx := p.lx
 	if lx.pos >= len(lx.src) || (lx.src[lx.pos] != '"' && lx.src[lx.pos] != '\'') {
@@ -577,30 +615,41 @@ func (p *parser) scanAttrValue() []Expr {
 	quote := lx.src[lx.pos]
 	lx.pos++
 	var parts []Expr
-	start := lx.pos
+	var lit []byte
+	flush := func() {
+		if len(lit) > 0 {
+			parts = append(parts, &StringLit{Val: string(lit)})
+			lit = lit[:0]
+		}
+	}
 	for {
 		if lx.pos >= len(lx.src) {
 			p.fail("unterminated attribute value")
 		}
-		c := lx.src[lx.pos]
-		if c == quote {
-			if lx.pos > start {
-				parts = append(parts, &StringLit{Val: string(lx.src[start:lx.pos])})
+		switch c := lx.src[lx.pos]; c {
+		case quote:
+			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == quote {
+				lit = append(lit, quote)
+				lx.pos += 2
+				continue
 			}
+			flush()
 			lx.pos++
 			return parts
-		}
-		if c == '{' {
-			if lx.pos > start {
-				parts = append(parts, &StringLit{Val: string(lx.src[start:lx.pos])})
+		case '{', '}':
+			if p.doubledBrace(c) {
+				lit = append(lit, c)
+				continue
 			}
+			flush()
 			lx.pos++
-			inner := p.parseEnclosed()
-			parts = append(parts, inner)
-			start = lx.pos
-			continue
+			parts = append(parts, p.parseEnclosed())
+		case '&':
+			lit = append(lit, p.scanRef()...)
+		default:
+			lit = append(lit, c)
+			lx.pos++
 		}
-		lx.pos++
 	}
 }
 

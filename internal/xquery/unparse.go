@@ -57,7 +57,7 @@ func unparseExpr(b *strings.Builder, e Expr) {
 	switch v := e.(type) {
 	case *StringLit:
 		b.WriteByte('"')
-		b.WriteString(v.Val)
+		b.WriteString(stringLitEscaper.Replace(v.Val))
 		b.WriteByte('"')
 	case *NumberLit:
 		b.WriteString(strconv.FormatFloat(v.Val, 'g', -1, 64))
@@ -234,7 +234,7 @@ func unparseCtor(b *strings.Builder, c *ElementCtor) {
 		b.WriteString(`="`)
 		for _, part := range a.Parts {
 			if lit, ok := part.(*StringLit); ok {
-				b.WriteString(lit.Val)
+				b.WriteString(attrTextEscaper.Replace(lit.Val))
 				continue
 			}
 			b.WriteByte('{')
@@ -251,7 +251,7 @@ func unparseCtor(b *strings.Builder, c *ElementCtor) {
 	for _, part := range c.Content {
 		switch v := part.(type) {
 		case *StringLit:
-			b.WriteString(v.Val)
+			unparseContentText(b, v.Val)
 		case *ElementCtor:
 			unparseCtor(b, v)
 		default:
@@ -263,4 +263,26 @@ func unparseCtor(b *strings.Builder, c *ElementCtor) {
 	b.WriteString("</")
 	b.WriteString(c.Tag)
 	b.WriteByte('>')
+}
+
+// The escapers re-escape literal text so that it parses back to the same
+// value: references for '&' and '<' (and the quote in attribute values),
+// doubled braces in constructors, a doubled delimiter in string literals.
+var (
+	stringLitEscaper   = strings.NewReplacer(`&`, `&amp;`, `"`, `""`)
+	contentTextEscaper = strings.NewReplacer(`&`, `&amp;`, `<`, `&lt;`, `{`, `{{`, `}`, `}}`)
+	attrTextEscaper    = strings.NewReplacer(`&`, `&amp;`, `<`, `&lt;`, `"`, `&quot;`, `{`, `{{`, `}`, `}}`)
+)
+
+// unparseContentText writes constructor content text. Text made only of
+// whitespace would read back as boundary whitespace and vanish, so it is
+// written as character references.
+func unparseContentText(b *strings.Builder, s string) {
+	if strings.Trim(s, " \t\n\r") != "" {
+		b.WriteString(contentTextEscaper.Replace(s))
+		return
+	}
+	for i := 0; i < len(s); i++ {
+		fmt.Fprintf(b, "&#%d;", s[i])
+	}
 }
